@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,6 +80,17 @@ plot '{csv}' using 2:11 with points title 'TP rate', \\
 """
 
 
+def _parse_number(text: str) -> int | float:
+    """An int when the text spells one, so that it stays exact; else a finite float."""
+    try:
+        return int(text)
+    except ValueError:
+        number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"{text!r} is not finite")
+    return number
+
+
 def _parse_override(text: str) -> tuple[str, object]:
     if "=" not in text:
         raise ConfigError(f"override {text!r} is not of the form key=value")
@@ -91,10 +103,9 @@ def _parse_override(text: str) -> tuple[str, object]:
     values: list[object] = []
     for part in parts:
         try:
-            num = float(part)
+            values.append(_parse_number(part))
         except ValueError:
-            raise ConfigError(f"override {text!r}: {part!r} is not a number") from None
-        values.append(int(num) if num == int(num) else num)
+            raise ConfigError(f"override {text!r}: {part!r} is not a finite number") from None
     if not values:
         raise ConfigError(f"override {text!r} carries no value")
     return key, values if len(values) > 1 or "," in raw else values[0]

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .fingerprint import DeviceId, generate_pattern
 
 
@@ -74,6 +76,17 @@ def _pattern_bits(device_id: DeviceId, p: float, period_slots: int) -> int:
     # Patterns are pure functions of (id, p, T); identification replays them
     # constantly, so cache the packed form.
     return generate_pattern(device_id, p, period_slots).bits
+
+
+def pattern_matrix(ids, p: float, period_slots: int) -> np.ndarray:
+    """Per-slot beep flags of each id, shape (len(ids), period_slots), slot 1 first."""
+    n_bytes = (period_slots + 7) // 8
+    packed = b"".join(
+        generate_pattern(device_id, p, period_slots).bits.to_bytes(n_bytes, "little")
+        for device_id in ids
+    )
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, n_bytes)
+    return np.unpackbits(rows, axis=1, count=period_slots, bitorder="little").astype(bool)
 
 
 def identify(

@@ -20,6 +20,7 @@ is what makes paired interference comparisons exact.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -36,10 +37,10 @@ from .fingerprint import MASK64, derive_seed
 from .identify import (
     ChannelTrace,
     FilterWindow,
-    _pattern_bits,
     filter_apply,
     filter_push,
     identify,
+    pattern_matrix,
 )
 
 DEFAULT_PERIOD_MS_GRID = (50, 100, 150, 200, 500, 1000)
@@ -78,7 +79,7 @@ class SimConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
 
     def __post_init__(self) -> None:
-        self.period_ms = tuple(int(v) for v in _as_tuple(self.period_ms))
+        self.period_ms = tuple(_whole("period_ms", v) for v in _as_tuple(self.period_ms))
         self.p = tuple(float(v) for v in _as_tuple(self.p))
         self.interference_rate = tuple(float(v) for v in _as_tuple(self.interference_rate))
         self.channel = replace(self.channel, slot_s=self.slot_s)
@@ -95,8 +96,10 @@ class SimConfig:
             raise ConfigError("filter_len must be >= 0")
         if not 0 <= self.master_seed <= MASK64:
             raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-        if self.slot_s <= 0:
-            raise ConfigError("slot_s must be positive")
+        if not 0 < self.slot_s < math.inf:
+            raise ConfigError("slot_s must be positive and finite")
+        if not 0 < self.sim_length_s < math.inf:
+            raise ConfigError("sim_length_s must be positive and finite")
         for grid_name in ("period_ms", "p", "interference_rate"):
             if not getattr(self, grid_name):
                 raise ConfigError(f"{grid_name} grid must be non-empty")
@@ -217,12 +220,26 @@ def _coerce(key: str, value, kind):
                 raise TypeError
             return value
         if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise TypeError
-            return int(value)
-        return kind(value)
+            return _whole(key, value)
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError
+        return number
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r} has invalid value {value!r}") from None
+
+
+def _whole(key: str, value) -> int:
+    """``value`` as an int when it is a whole number; anything else is refused, not truncated."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"config key {key!r} has invalid value {value!r}: not a whole number")
 
 
 @dataclass(frozen=True)
@@ -295,13 +312,43 @@ def _draw_layout(cfg: SimConfig, rng: np.random.Generator) -> RunLayout:
     )
 
 
-def _pattern_matrix(cfg: SimConfig, p: float, t_slots: int) -> np.ndarray:
-    """Active nodes' per-slot beep flags, shape (n_active, t_slots)."""
-    rows = []
-    for device_id in cfg.active_ids():
-        bits = _pattern_bits(device_id, p, t_slots)
-        rows.append([(bits >> t) & 1 for t in range(t_slots)])
-    return np.array(rows, dtype=bool).reshape(cfg.n_active, t_slots)
+def _realise_run(
+    cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Realise one run's channel, which every interference rate shares.
+
+    Returns ``heard``, the slots in which the receiver senses at least one
+    active node, and ``draws``, the uniform draw per slot that puts
+    interference in the slot when it falls below the rate. Both have shape
+    (n_periods, t_slots).
+    """
+    n_active, t_slots = active_patterns.shape
+    rng_intf = np.random.default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE))
+    draws = rng_intf.random(n_periods * t_slots).reshape(n_periods, t_slots)
+    if cfg.ideal_channel or n_active == 0:
+        return np.broadcast_to(active_patterns.any(axis=0), draws.shape), draws
+
+    ch = cfg.channel
+    rng_channel = np.random.default_rng(derive_seed(run_seed, _STREAM_CHANNEL))
+    layout = _draw_layout(cfg, rng_channel)
+    shadows = rng_channel.normal(0.0, ch.shadow_std_db, size=cfg.n_nodes)
+    rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, ch.slot_s)
+    g0 = standard_complex_normal(rng_channel, n_active)
+    noise = standard_complex_normal(rng_channel, (n_active, n_periods * t_slots))
+    gains = rayleigh_sequence(g0, rho, noise)
+    del noise
+
+    offsets = np.asarray(layout.positions[:n_active]) - np.asarray(layout.receiver)
+    pl = ch.pathloss_ref_db + 10.0 * ch.pathloss_exponent * np.log10(
+        np.maximum(np.hypot(*offsets.T), 1.0)
+    )
+    with np.errstate(divide="ignore"):
+        fade_db = 20.0 * np.log10(np.abs(gains))
+    del gains
+    rx_dbm = (ch.tx_power_dbm - pl + shadows[:n_active])[:, None] + fade_db
+    above = (rx_dbm >= ch.sensitivity_dbm).reshape(n_active, n_periods, t_slots)
+    detected = active_patterns[:, None, :] & above
+    return detected.any(axis=0), draws
 
 
 def simulate_run_traces(
@@ -311,47 +358,64 @@ def simulate_run_traces(
     interference_rate: float,
     run_seed: int,
 ) -> list[ChannelTrace]:
-    """Simulate one run and return the receiver's per-period union traces."""
+    """Simulate one run and return the receiver's per-period union traces.
+
+    The traces pack the same realisation that sweeps score as matrices, for
+    the int-mask reference path (``score_traces``).
+    """
     t_slots = cfg.slots_per_period(period_ms)
-    n_periods = cfg.periods_per_run(period_ms)
-    n_slots = n_periods * t_slots
-
-    rng_channel = np.random.default_rng(derive_seed(run_seed, _STREAM_CHANNEL))
-    rng_intf = np.random.default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE))
-
-    layout = _draw_layout(cfg, rng_channel)
-    shadows = rng_channel.normal(0.0, cfg.channel.shadow_std_db, size=cfg.n_nodes)
-
-    beeps = np.tile(_pattern_matrix(cfg, p, t_slots), (1, n_periods))
-
-    if cfg.ideal_channel or cfg.n_active == 0:
-        detected = beeps
-    else:
-        ch = cfg.channel
-        rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, ch.slot_s)
-        g0 = standard_complex_normal(rng_channel, cfg.n_active)
-        noise = standard_complex_normal(rng_channel, (cfg.n_active, n_slots))
-        gains = rayleigh_sequence(g0, rho, noise)
-
-        rx = np.asarray(layout.receiver)
-        positions = np.asarray(layout.positions[: cfg.n_active])
-        distances = np.hypot(*(positions - rx).T)
-        pl = ch.pathloss_ref_db + 10.0 * ch.pathloss_exponent * np.log10(
-            np.maximum(distances, 1.0)
-        )
-        with np.errstate(divide="ignore"):
-            fade_db = 20.0 * np.log10(np.abs(gains))
-        rx_dbm = ch.tx_power_dbm - pl[:, None] + shadows[: cfg.n_active, None] + fade_db
-        detected = beeps & (rx_dbm >= ch.sensitivity_dbm)
-
-    interference = rng_intf.random(n_slots) < interference_rate
-    union = detected.any(axis=0) | interference
-
-    packed = np.packbits(union.reshape(n_periods, t_slots), axis=1, bitorder="little")
+    patterns = pattern_matrix(cfg.active_ids(), p, t_slots)
+    heard, draws = _realise_run(cfg, patterns, cfg.periods_per_run(period_ms), run_seed)
+    packed = np.packbits(heard | (draws < interference_rate), axis=1, bitorder="little")
     return [
         ChannelTrace(bits=int.from_bytes(row.tobytes(), "little"), period_slots=t_slots)
         for row in packed
     ]
+
+
+def _or_window(unions: np.ndarray, filter_len: int) -> np.ndarray:
+    """Each period's observation: the OR of the last filter_len union traces.
+
+    The window is partial until filter_len traces have arrived; a filter
+    shorter than 2 leaves the traces as they are.
+    """
+    if filter_len < 2:
+        return unions
+    heard_count = np.cumsum(unions, axis=-2, dtype=np.int32)
+    heard_count[..., filter_len:, :] = (
+        heard_count[..., filter_len:, :] - heard_count[..., :-filter_len, :]
+    )
+    return heard_count > 0
+
+
+def score_unions(
+    patterns: np.ndarray,
+    unions: np.ndarray,
+    n_active: int,
+    filter_lens: Sequence[int],
+) -> np.ndarray:
+    """Tally (tp, fn, tn, fp) as score_traces does, for each filter length.
+
+    ``patterns`` holds the roster's beep flags, shape (n_ids, t_slots),
+    active ids first; ``unions`` holds per-period union traces, shape
+    (..., n_periods, t_slots). An id is identified in a period when none of
+    its beep slots went unobserved, so one boolean matrix product of the
+    unobserved slots with the patterns scores every period and id at once.
+    Returns int64 counts of shape (..., len(filter_lens), 4).
+    """
+    observed = np.stack([_or_window(unions, m) for m in filter_lens], axis=-3)
+    # Boolean rather than float: a float product goes through BLAS, whose
+    # worker threads spin on a second core during long runs.
+    missed = ~observed @ patterns.T
+    n_periods = unions.shape[-2]
+    accepted = n_periods - missed.sum(axis=-2, dtype=np.int64)
+    hits = accepted[..., :n_active].sum(axis=-1)
+    false_hits = accepted[..., n_active:].sum(axis=-1)
+    n_silent = len(patterns) - n_active
+    return np.stack(
+        [hits, n_active * n_periods - hits, n_silent * n_periods - false_hits, false_hits],
+        axis=-1,
+    )
 
 
 def score_traces(
@@ -392,6 +456,47 @@ def score_traces(
     return tp, fn, tn, fp
 
 
+def _point_counts(task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]]) -> np.ndarray:
+    """Counts of one (period index, p index) grid cell, summed over the given run seeds.
+
+    Each run's channel is realised once and observed at every configured
+    interference rate. Returns int64 (tp, fn, tn, fp) counts of shape
+    (interference rates, filter lengths, 4).
+    """
+    cfg, ti, pi, run_seeds, filter_lens = task
+    period_ms = cfg.period_ms[ti]
+    patterns = pattern_matrix(cfg.roster(), cfg.p[pi], cfg.slots_per_period(period_ms))
+    n_periods = cfg.periods_per_run(period_ms)
+    rates = np.array(cfg.interference_rate)[:, None, None]
+    counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
+    for run_seed in run_seeds:
+        heard, draws = _realise_run(cfg, patterns[: cfg.n_active], n_periods, run_seed)
+        counts += score_unions(patterns, heard | (draws < rates), cfg.n_active, filter_lens)
+        # Freed before the next run realises its channel: holding them across
+        # the realisation fragments the heap and raises peak memory.
+        del heard, draws
+    return counts
+
+
+def _record(
+    cfg: SimConfig, ti: int, pi: int, ii: int, filter_len: int, counts: np.ndarray
+) -> MetricsRecord:
+    period_ms = cfg.period_ms[ti]
+    tp, fn, tn, fp = (int(c) for c in counts)
+    return MetricsRecord(
+        t_ms=period_ms,
+        p=cfg.p[pi],
+        interference_rate=cfg.interference_rate[ii],
+        filter_len=filter_len,
+        runs=cfg.runs,
+        events=cfg.periods_per_run(period_ms) * cfg.runs,
+        tp=tp,
+        fn=fn,
+        tn=tn,
+        fp=fp,
+    )
+
+
 def run_once(cfg: SimConfig, run_seed: int) -> MetricsRecord:
     """Simulate and score a single run at a single parameter point.
 
@@ -403,96 +508,13 @@ def run_once(cfg: SimConfig, run_seed: int) -> MetricsRecord:
                 f"run_once needs a single-point grid, but {grid_name} has "
                 f"{len(getattr(cfg, grid_name))} values"
             )
-    period_ms = cfg.period_ms[0]
-    p = cfg.p[0]
-    rate = cfg.interference_rate[0]
-    traces = simulate_run_traces(cfg, period_ms, p, rate, run_seed)
-    tp, fn, tn, fp = score_traces(traces, cfg.roster(), cfg.active_ids(), p, cfg.filter_len)
-    return MetricsRecord(
-        t_ms=period_ms,
-        p=p,
-        interference_rate=rate,
-        filter_len=cfg.filter_len,
-        runs=1,
-        events=len(traces),
-        tp=tp,
-        fn=fn,
-        tn=tn,
-        fp=fp,
-    )
-
-
-def _grid_points(cfg: SimConfig) -> list[tuple[int, int, int]]:
-    return [
-        (ti, pi, ii)
-        for ti in range(len(cfg.period_ms))
-        for pi in range(len(cfg.p))
-        for ii in range(len(cfg.interference_rate))
-    ]
+    counts = _point_counts((cfg, 0, 0, [run_seed], (cfg.filter_len,)))
+    return _record(replace(cfg, runs=1), 0, 0, 0, cfg.filter_len, counts[0, 0])
 
 
 def run_seed_for(cfg: SimConfig, t_index: int, p_index: int, run_index: int) -> int:
     """Seed for one run; interference rate intentionally not an input (pairing)."""
     return derive_seed(cfg.master_seed, t_index, p_index, run_index)
-
-
-def _sweep_point(args: tuple[SimConfig, int, int, int]) -> MetricsRecord:
-    cfg, ti, pi, ii = args
-    period_ms = cfg.period_ms[ti]
-    p = cfg.p[pi]
-    rate = cfg.interference_rate[ii]
-    roster = cfg.roster()
-    active = cfg.active_ids()
-    tp = fn = tn = fp = 0
-    for run_index in range(cfg.runs):
-        seed = run_seed_for(cfg, ti, pi, run_index)
-        traces = simulate_run_traces(cfg, period_ms, p, rate, seed)
-        dtp, dfn, dtn, dfp = score_traces(traces, roster, active, p, cfg.filter_len)
-        tp += dtp
-        fn += dfn
-        tn += dtn
-        fp += dfp
-    return MetricsRecord(
-        t_ms=period_ms,
-        p=p,
-        interference_rate=rate,
-        filter_len=cfg.filter_len,
-        runs=cfg.runs,
-        events=cfg.periods_per_run(period_ms) * cfg.runs,
-        tp=tp,
-        fn=fn,
-        tn=tn,
-        fp=fp,
-    )
-
-
-def _compare_point(args: tuple[SimConfig, int, int, int]) -> FilterComparison:
-    cfg, ti, pi, ii = args
-    period_ms = cfg.period_ms[ti]
-    p = cfg.p[pi]
-    rate = cfg.interference_rate[ii]
-    roster = cfg.roster()
-    active = cfg.active_ids()
-    counts = {0: [0, 0, 0, 0], cfg.filter_len: [0, 0, 0, 0]}
-    for run_index in range(cfg.runs):
-        seed = run_seed_for(cfg, ti, pi, run_index)
-        traces = simulate_run_traces(cfg, period_ms, p, rate, seed)
-        for m, bucket in counts.items():
-            for i, value in enumerate(score_traces(traces, roster, active, p, m)):
-                bucket[i] += value
-    (tp0, fn0, tn0, fp0) = counts[0]
-    (tp1, fn1, tn1, fp1) = counts[cfg.filter_len]
-    return FilterComparison(
-        t_ms=period_ms,
-        p=p,
-        interference_rate=rate,
-        filter_len=cfg.filter_len,
-        runs=cfg.runs,
-        tp_rate_off=tp0 / (tp0 + fn0) if tp0 + fn0 else math.nan,
-        tp_rate_on=tp1 / (tp1 + fn1) if tp1 + fn1 else math.nan,
-        tn_rate_off=tn0 / (tn0 + fp0) if tn0 + fp0 else math.nan,
-        tn_rate_on=tn1 / (tn1 + fp1) if tn1 + fp1 else math.nan,
-    )
 
 
 def _map_points(worker, tasks, threads: int):
@@ -502,15 +524,28 @@ def _map_points(worker, tasks, threads: int):
     return [worker(task) for task in tasks]
 
 
-def sweep(cfg: SimConfig, threads: int = 1) -> list[MetricsRecord]:
-    """Metrics for the full (period, p, interference rate) grid.
+def _grid_counts(cfg: SimConfig, filter_lens: tuple[int, ...], threads: int):
+    """Pairs ((ti, pi), counts) for every (period, p) cell, in grid order.
 
     Point results are independent of scheduling: seeds derive from grid
-    coordinates, and records come back in grid order, so any thread count
+    coordinates, and cells come back in grid order, so any thread count
     produces identical output.
     """
-    tasks = [(cfg, ti, pi, ii) for ti, pi, ii in _grid_points(cfg)]
-    return _map_points(_sweep_point, tasks, threads)
+    cells = [(ti, pi) for ti in range(len(cfg.period_ms)) for pi in range(len(cfg.p))]
+    tasks = [
+        (cfg, ti, pi, [run_seed_for(cfg, ti, pi, r) for r in range(cfg.runs)], filter_lens)
+        for ti, pi in cells
+    ]
+    return zip(cells, _map_points(_point_counts, tasks, threads))
+
+
+def sweep(cfg: SimConfig, threads: int = 1) -> list[MetricsRecord]:
+    """Metrics for the full (period, p, interference rate) grid, in grid order."""
+    return [
+        _record(cfg, ti, pi, ii, cfg.filter_len, cell[ii, 0])
+        for (ti, pi), cell in _grid_counts(cfg, (cfg.filter_len,), threads)
+        for ii in range(len(cfg.interference_rate))
+    ]
 
 
 def compare_filtering(cfg: SimConfig, threads: int = 1) -> list[FilterComparison]:
@@ -521,5 +556,22 @@ def compare_filtering(cfg: SimConfig, threads: int = 1) -> list[FilterComparison
     """
     if cfg.filter_len < 2:
         raise ConfigError("compare_filtering needs filter_len >= 2")
-    tasks = [(cfg, ti, pi, ii) for ti, pi, ii in _grid_points(cfg)]
-    return _map_points(_compare_point, tasks, threads)
+    comparisons = []
+    for (ti, pi), cell in _grid_counts(cfg, (0, cfg.filter_len), threads):
+        for ii in range(len(cfg.interference_rate)):
+            off = _record(cfg, ti, pi, ii, 0, cell[ii, 0])
+            on = _record(cfg, ti, pi, ii, cfg.filter_len, cell[ii, 1])
+            comparisons.append(
+                FilterComparison(
+                    t_ms=on.t_ms,
+                    p=on.p,
+                    interference_rate=on.interference_rate,
+                    filter_len=cfg.filter_len,
+                    runs=cfg.runs,
+                    tp_rate_off=off.tp_rate,
+                    tp_rate_on=on.tp_rate,
+                    tn_rate_off=off.tn_rate,
+                    tn_rate_on=on.tn_rate,
+                )
+            )
+    return comparisons

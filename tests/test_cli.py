@@ -228,3 +228,27 @@ def test_stdout_output(config_path, capsys):
     assert main(["simulate", "--config", config_path]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("T_ms,")
+
+
+def test_fractional_period_override_is_refused(config_path, tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    assert main(["simulate", "--config", config_path, "--set", "period_ms=100.7"]) == EXIT_CONFIG
+    assert "not a whole number" in capsys.readouterr().err
+    args = ["simulate", "--config", config_path, "--set", "period_ms=100.0", "--out", str(out_path)]
+    assert main(args) == EXIT_OK
+    assert out_path.read_text().splitlines()[1].startswith("100,")
+
+
+def test_large_seed_override_stays_exact(config_path, tmp_path):
+    dumped = tmp_path / "effective.json"
+    seed = 2**53 + 1
+    args = ["simulate", "--config", config_path, "--set", f"master_seed={seed}"]
+    assert main(args + ["--out", str(tmp_path / "out.csv"), "--dump-config", str(dumped)]) == EXIT_OK
+    assert json.loads(dumped.read_text())["master_seed"] == seed
+
+
+@pytest.mark.parametrize("override", ["p=nan", "runs=inf", "interference_rate=0,-inf"])
+def test_non_finite_override_is_a_config_error(config_path, capsys, override):
+    assert main(["sweep", "--config", config_path, "--set", override]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not a finite number" in err

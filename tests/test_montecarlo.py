@@ -5,17 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beepid.channel import ChannelConfig
-from beepid.identify import _pattern_bits
+from beepid.identify import ChannelTrace, _pattern_bits, pattern_matrix
 from beepid.montecarlo import (
     ConfigError,
+    FilterComparison,
+    MetricsRecord,
     SimConfig,
     _draw_layout,
     compare_filtering,
     run_once,
     run_seed_for,
     score_traces,
+    score_unions,
     simulate_run_traces,
     sweep,
 )
@@ -217,3 +223,88 @@ def test_harsher_pathloss_lowers_tp():
     mild = _point_cfg(runs=10, channel=ChannelConfig(pathloss_exponent=2.0))
     harsh = _point_cfg(runs=10, channel=ChannelConfig(pathloss_exponent=3.5))
     assert sweep(harsh)[0].tp_rate < sweep(mild)[0].tp_rate
+
+
+def test_config_refuses_to_truncate_or_accept_non_finite_values():
+    with pytest.raises(ConfigError, match="not a whole number"):
+        _point_cfg(period_ms=(100.7,))
+    assert _point_cfg(period_ms=(100.0,)).period_ms == (100,)
+    base = _point_cfg().to_dict()
+    for key, value in (("runs", math.inf), ("sim_length_s", math.nan), ("tx_power_dbm", math.nan)):
+        with pytest.raises(ConfigError, match=key):
+            SimConfig.from_dict({**base, key: value})
+    with pytest.raises(ConfigError):
+        _point_cfg(sim_length_s=math.inf)
+
+
+@st.composite
+def _union_cases(draw):
+    n_nodes = draw(st.integers(1, 6))
+    t_slots = draw(st.integers(1, 12))
+    periods = draw(st.integers(1, 8))
+    p = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    union = draw(arrays(np.bool_, (periods, t_slots)))
+    # OR whole patterns into some periods, so that acceptance is common too.
+    covered = draw(arrays(np.bool_, (periods, n_nodes)))
+    union |= (covered[:, :, None] & pattern_matrix(range(1, n_nodes + 1), p, t_slots)).any(axis=1)
+    return n_nodes, p, union, draw(st.integers(0, n_nodes)), draw(st.integers(0, periods + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_union_cases())
+def test_matrix_scorer_matches_reference_scorer(case):
+    n_nodes, p, union, n_active, filter_len = case
+    roster = tuple(range(1, n_nodes + 1))
+    traces = [ChannelTrace.from_slots(row) for row in union]
+    patterns = pattern_matrix(roster, p, union.shape[1])
+    counts = score_unions(patterns, union, n_active, (0, filter_len))
+    assert tuple(counts[0]) == score_traces(traces, roster, roster[:n_active], p, 0)
+    assert tuple(counts[1]) == score_traces(traces, roster, roster[:n_active], p, filter_len)
+
+
+def _reference_records(cfg: SimConfig, filter_len: int) -> list[MetricsRecord]:
+    """Per-point records composed from the int-mask path, one simulated run at a time."""
+    records = []
+    for ti, t_ms in enumerate(cfg.period_ms):
+        for pi, p in enumerate(cfg.p):
+            for rate in cfg.interference_rate:
+                totals = np.zeros(4, dtype=int)
+                for run_index in range(cfg.runs):
+                    seed = run_seed_for(cfg, ti, pi, run_index)
+                    traces = simulate_run_traces(cfg, t_ms, p, rate, seed)
+                    totals += score_traces(traces, cfg.roster(), cfg.active_ids(), p, filter_len)
+                tp, fn, tn, fp = (int(c) for c in totals)
+                events = cfg.periods_per_run(t_ms) * cfg.runs
+                records.append(
+                    MetricsRecord(t_ms, p, rate, filter_len, cfg.runs, events, tp, fn, tn, fp)
+                )
+    return records
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_grid_matches_per_point_reference(threads):
+    cfg = _point_cfg(
+        runs=2,
+        sim_length_s=1.0,
+        period_ms=(50, 200),
+        p=(0.2, 0.5),
+        interference_rate=(0.0, 0.1),
+        filter_len=3,
+    )
+    off, on = _reference_records(cfg, 0), _reference_records(cfg, 3)
+    assert sweep(cfg, threads=threads) == on
+    assert compare_filtering(cfg, threads=threads) == [
+        FilterComparison(
+            a.t_ms, a.p, a.interference_rate, 3, cfg.runs, a.tp_rate, b.tp_rate, a.tn_rate, b.tn_rate
+        )
+        for a, b in zip(off, on)
+    ]
+
+
+def test_pattern_matrix_unpacks_the_pattern_bits():
+    for t_slots in (1, 7, 8, 9, 100):
+        matrix = pattern_matrix((3, 1, 2), 0.4, t_slots)
+        assert matrix.shape == (3, t_slots) and matrix.dtype == bool
+        for row, device_id in zip(matrix, (3, 1, 2)):
+            assert ChannelTrace.from_slots(row).bits == _pattern_bits(device_id, 0.4, t_slots)
+    assert pattern_matrix((), 0.4, 10).shape == (0, 10)
