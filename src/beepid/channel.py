@@ -21,6 +21,7 @@ from scipy.signal import lfilter
 from scipy.special import j0
 
 SPEED_OF_LIGHT = 2.99792458e8
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,25 @@ def rayleigh_sequence(g0: np.ndarray, rho: float, noise: np.ndarray) -> np.ndarr
 
     ``g0`` has shape (nodes,), ``noise`` shape (nodes, slots); the result
     column k equals applying advance_rayleigh k+1 times, bit for bit.
+
+    The recursion has real coefficients, so it runs as a real filter over
+    the (real, imag) float pairs of the noise, which is cheaper than a
+    complex filter and performs the same real multiplies and adds on each
+    part. A long sequence may be filtered in blocks: passing the previous
+    block's last gains as ``g0`` continues it bit for bit.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("correlation must be in [0, 1]")
-    scaled = math.sqrt(1.0 - rho * rho) * noise
-    zi = (rho * np.asarray(g0))[:, None]
+    noise = np.asarray(noise, dtype=np.complex128)
+    scaled = math.sqrt(1.0 - rho * rho) * _pairs(noise)
+    zi = _pairs(rho * np.asarray(g0, dtype=np.complex128))[:, None, :]
     gains, _ = lfilter([1.0], [1.0, -rho], scaled, axis=1, zi=zi)
-    return gains
+    return gains.view(np.complex128)[..., 0]
+
+
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """The float64 (real, imag) pairs of a complex128 array, as a view with a trailing axis of 2."""
+    return values[..., None].view(np.float64)
 
 
 def received_power_dbm(
@@ -165,5 +178,16 @@ def detect_slot(
 
 
 def standard_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Complex Gaussians with unit mean power (variance 1/2 per component)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    """Complex Gaussians with unit mean power (variance 1/2 per component).
+
+    All real parts are drawn before all imaginary parts. Each part is
+    scaled straight into the complex result, so no complex temporaries are
+    built; the values equal ``(a + 1j*b) / sqrt(2)``, which numpy evaluates
+    as a multiply of each part by 1/sqrt(2).
+    """
+    out = np.empty(shape, dtype=np.complex128)
+    draw = rng.standard_normal(out.shape)
+    np.multiply(draw, _INV_SQRT2, out=out.real)
+    rng.standard_normal(out=draw)
+    np.multiply(draw, _INV_SQRT2, out=out.imag)
+    return out

@@ -51,6 +51,10 @@ DEFAULT_IR_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 _STREAM_CHANNEL = 1
 _STREAM_INTERFERENCE = 2
 
+# Slots of fading realised and thresholded at a time, which bounds the
+# float temporaries of the link budget whatever the run length.
+_BLOCK_SLOTS = 1 << 14
+
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent simulation configuration."""
@@ -79,6 +83,12 @@ class SimConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
 
     def __post_init__(self) -> None:
+        for name in ("runs", "n_nodes", "n_active", "filter_len", "master_seed"):
+            setattr(self, name, _whole(name, getattr(self, name)))
+        if not isinstance(self.ideal_channel, bool):
+            raise ConfigError(
+                f"config key 'ideal_channel' has invalid value {self.ideal_channel!r}: not a bool"
+            )
         self.period_ms = tuple(_whole("period_ms", v) for v in _as_tuple(self.period_ms))
         self.p = tuple(float(v) for v in _as_tuple(self.p))
         self.interference_rate = tuple(float(v) for v in _as_tuple(self.interference_rate))
@@ -126,9 +136,19 @@ class SimConfig:
             )
         return slots
 
+    def slots_per_run(self) -> int:
+        """Whole slots in one run, counted with slots_per_period's 1e-6 ms tolerance."""
+        slot_ms = self.slot_s * 1000.0
+        run_ms = self.sim_length_s * 1000.0
+        ratio = run_ms / slot_ms
+        if not math.isfinite(ratio):
+            raise ConfigError(f"simulation length {self.sim_length_s}s overflows the slot count")
+        slots = round(ratio)
+        return slots if abs(slots * slot_ms - run_ms) <= 1e-6 else math.floor(ratio)
+
     def periods_per_run(self, period_ms: int) -> int:
         """Complete periods in one run; the trailing partial period is dropped."""
-        return int(self.sim_length_s * 1000.0 // period_ms)
+        return self.slots_per_run() // self.slots_per_period(period_ms)
 
     def roster(self) -> tuple[int, ...]:
         """The candidate universe: the receiver knows and tests every id."""
@@ -333,21 +353,30 @@ def _realise_run(
     layout = _draw_layout(cfg, rng_channel)
     shadows = rng_channel.normal(0.0, ch.shadow_std_db, size=cfg.n_nodes)
     rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, ch.slot_s)
-    g0 = standard_complex_normal(rng_channel, n_active)
+    gain = standard_complex_normal(rng_channel, n_active)
+    # Drawn whole: the stream yields every real part before any imaginary one.
     noise = standard_complex_normal(rng_channel, (n_active, n_periods * t_slots))
-    gains = rayleigh_sequence(g0, rho, noise)
-    del noise
 
     offsets = np.asarray(layout.positions[:n_active]) - np.asarray(layout.receiver)
     pl = ch.pathloss_ref_db + 10.0 * ch.pathloss_exponent * np.log10(
         np.maximum(np.hypot(*offsets.T), 1.0)
     )
-    with np.errstate(divide="ignore"):
-        fade_db = 20.0 * np.log10(np.abs(gains))
-    del gains
-    rx_dbm = (ch.tx_power_dbm - pl + shadows[:n_active])[:, None] + fade_db
-    above = (rx_dbm >= ch.sensitivity_dbm).reshape(n_active, n_periods, t_slots)
-    detected = active_patterns[:, None, :] & above
+    budget_dbm = (ch.tx_power_dbm - pl + shadows[:n_active])[:, None]
+    above = np.empty(noise.shape, dtype=bool)
+    for start in range(0, noise.shape[1], _BLOCK_SLOTS):
+        block = slice(start, start + _BLOCK_SLOTS)
+        gains = rayleigh_sequence(gain, rho, noise[:, block])
+        gain = gains[:, -1]
+        # |g| by np.abs: np.hypot differs from it in the last ulp.
+        rx_dbm = np.abs(gains)
+        with np.errstate(divide="ignore"):
+            np.log10(rx_dbm, out=rx_dbm)
+        rx_dbm *= 20.0
+        rx_dbm += budget_dbm
+        np.greater_equal(rx_dbm, ch.sensitivity_dbm, out=above[:, block])
+
+    detected = above.reshape(n_active, n_periods, t_slots)
+    detected &= active_patterns[:, None, :]
     return detected.any(axis=0), draws
 
 

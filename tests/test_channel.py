@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beepid.channel import (
     ChannelConfig,
@@ -16,7 +18,12 @@ from beepid.channel import (
     received_power_dbm,
     standard_complex_normal,
 )
-from oracles import FIRST_J0_ZERO, bessel_j0_series
+from oracles import (
+    FIRST_J0_ZERO,
+    bessel_j0_series,
+    ref_rayleigh_sequence,
+    ref_standard_complex_normal,
+)
 
 FREE_SPACE = ChannelConfig(pathloss_exponent=2.0, pathloss_ref_db=40.05)
 
@@ -93,6 +100,32 @@ def test_rayleigh_sequence_matches_scalar_recursion():
             [advance_rayleigh(g, rho, w) for g, w in zip(gains, noise[:, k])]
         )
         assert np.array_equal(gains, vectorized[:, k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nodes=st.integers(1, 4),
+    slots=st.integers(1, 300),
+    rho=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    cuts=st.lists(st.integers(1, 299), min_size=1, max_size=3, unique=True),
+)
+def test_fading_matches_complex_oracles(seed, nodes, slots, rho, cuts):
+    noise = standard_complex_normal(np.random.default_rng(seed), (nodes, slots))
+    oracle_noise = ref_standard_complex_normal(np.random.default_rng(seed), (nodes, slots))
+    assert noise.dtype == np.complex128 and np.array_equal(noise, oracle_noise)
+    g0 = standard_complex_normal(np.random.default_rng(seed + 1), nodes)
+    expected = ref_rayleigh_sequence(g0, rho, oracle_noise)
+    gains = rayleigh_sequence(g0, rho, noise)
+    assert np.array_equal(gains, expected)
+    assert np.array_equal(np.abs(gains), np.abs(expected))
+    # Filtered in 2-4 chained blocks, each continuing from the last gains.
+    edges = [0, *sorted(c for c in cuts if c < slots), slots]
+    blocks, gain = [], g0
+    for lo, hi in zip(edges, edges[1:]):
+        blocks.append(rayleigh_sequence(gain, rho, noise[:, lo:hi]))
+        gain = blocks[-1][:, -1]
+    assert np.array_equal(np.concatenate(blocks, axis=1), expected)
 
 
 def test_rayleigh_long_run_statistics():

@@ -2,21 +2,25 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import ref_realise_run
 
 from beepid.channel import ChannelConfig
 from beepid.identify import ChannelTrace, _pattern_bits, pattern_matrix
 from beepid.montecarlo import (
+    _BLOCK_SLOTS,
     ConfigError,
     FilterComparison,
     MetricsRecord,
     SimConfig,
     _draw_layout,
+    _realise_run,
     compare_filtering,
     run_once,
     run_seed_for,
@@ -235,6 +239,63 @@ def test_config_refuses_to_truncate_or_accept_non_finite_values():
             SimConfig.from_dict({**base, key: value})
     with pytest.raises(ConfigError):
         _point_cfg(sim_length_s=math.inf)
+
+
+def test_periods_per_run_counts_whole_slots():
+    # 2030 ms holds 29 periods of 70 ms and 2010 ms 67 of 30 ms, which a
+    # float floor division of the milliseconds undercounts by one.
+    assert _point_cfg(sim_length_s=2.03, period_ms=(70,)).periods_per_run(70) == 29
+    assert _point_cfg(sim_length_s=2.01, period_ms=(30,)).periods_per_run(30) == 67
+    assert _point_cfg(sim_length_s=2.035, period_ms=(70,)).periods_per_run(70) == 29
+    assert SimConfig().periods_per_run(150) == 33
+    assert SimConfig(sim_length_s=3600.0).periods_per_run(50) == 72000
+    with pytest.raises(ConfigError, match="overflows"):
+        _point_cfg(sim_length_s=1e306)
+
+
+def test_direct_construction_checks_int_and_bool_fields():
+    with pytest.raises(ConfigError, match="runs"):
+        _point_cfg(runs=2.5)
+    cfg = _point_cfg(runs=2.0, n_nodes=6.0, n_active=np.int64(3), filter_len=2.0, master_seed=7.0)
+    assert (cfg.runs, cfg.n_nodes, cfg.n_active, cfg.filter_len, cfg.master_seed) == (2, 6, 3, 2, 7)
+    assert all(type(v) is int for v in (cfg.runs, cfg.n_nodes, cfg.n_active, cfg.filter_len))
+    for key, value in (("n_nodes", "10"), ("master_seed", True), ("ideal_channel", 1)):
+        with pytest.raises(ConfigError, match=key):
+            _point_cfg(**{key: value})
+
+
+def _multi_block_run(velocity_kmph: float, sim_length_s: float = 500.0):
+    # 500 s of 100 ms periods: 50000 slots, three whole blocks and a partial one.
+    cfg = _point_cfg(
+        sim_length_s=sim_length_s, channel=ChannelConfig(velocity_kmph=velocity_kmph)
+    )
+    n_periods = cfg.periods_per_run(100)
+    patterns = pattern_matrix(cfg.active_ids(), 0.3, cfg.slots_per_period(100))
+    n_slots = n_periods * patterns.shape[1]
+    assert n_slots > 3 * _BLOCK_SLOTS and n_slots % _BLOCK_SLOTS
+    return cfg, patterns, n_periods, n_slots
+
+
+@pytest.mark.parametrize("velocity_kmph", [0.0, 3.0, 120.0])
+def test_blocked_realisation_matches_single_block_oracle(velocity_kmph):
+    cfg, patterns, n_periods, _ = _multi_block_run(velocity_kmph)
+    for run_seed in (1, 2**64 - 1):
+        heard, draws = _realise_run(cfg, patterns, n_periods, run_seed)
+        ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
+        assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
+
+
+def test_realisation_memory_is_bounded_per_node_slot():
+    # Long enough that the per-block temporaries, a fixed few MB, do not
+    # dominate: what must stay bounded is the cost per node-slot.
+    cfg, patterns, n_periods, n_slots = _multi_block_run(3.0, sim_length_s=3600.0)
+    tracemalloc.start()
+    try:
+        _realise_run(cfg, patterns, n_periods, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * cfg.n_active * n_slots
 
 
 @st.composite
