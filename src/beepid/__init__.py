@@ -18,10 +18,6 @@ from .analysis import (
 )
 from .channel import (
     ChannelConfig,
-    NodeRadio,
-    SlotOutcome,
-    advance_rayleigh,
-    detect_slot,
     doppler_correlation,
     pathloss_db,
 )
@@ -45,7 +41,6 @@ from .montecarlo import (
     ConfigError,
     FilterComparison,
     MetricsRecord,
-    RunLayout,
     SimConfig,
     compare_filtering,
     run_once,
@@ -64,16 +59,11 @@ __all__ = [
     "FilterWindow",
     "IdSet",
     "MetricsRecord",
-    "NodeRadio",
     "Prng",
-    "RunLayout",
     "SimConfig",
-    "SlotOutcome",
-    "advance_rayleigh",
     "compare_filtering",
     "coverage_prob",
     "derive_seed",
-    "detect_slot",
     "doppler_correlation",
     "false_id_prob",
     "filter_apply",

@@ -1,14 +1,18 @@
-"""Radio propagation and interference model.
+"""Radio propagation model: the package's one link budget.
 
 Detection of a beep is a pure link-budget threshold: transmit power minus
-log-distance pathloss, plus a static per-node log-normal shadowing term,
-plus the instantaneous Rayleigh fast-fading gain, compared against the
-receiver sensitivity. Fading evolves slot to slot as a first-order
-autoregressive complex Gaussian whose correlation follows the Clarke/Jakes
-zeroth-order Bessel law of the node's Doppler frequency, so fades span
-multiple consecutive slots at pedestrian speeds. External interference is
-a strong foreign signal that saturates carrier sensing for the slots it
-occupies.
+log-distance pathloss to the receiver at the centre of the deployment
+square, plus a static per-node log-normal shadowing term, plus the
+instantaneous Rayleigh fast-fading gain ``20 log10|g|``, compared against
+the receiver sensitivity (``link_budget_dbm``, ``rx_power_dbm``,
+``detect``). Every function takes arrays, one row per node, so the
+Monte-Carlo harness only draws the randomness, filters the fading in time
+blocks and combines the flags. Fading evolves slot to slot as a
+first-order autoregressive complex Gaussian whose correlation follows the
+Clarke/Jakes zeroth-order Bessel law of the node's Doppler frequency, so
+fades span multiple consecutive slots at pedestrian speeds. External
+interference is a strong foreign signal that saturates carrier sensing for
+the slots it occupies; the harness ORs it into the union trace.
 """
 
 from __future__ import annotations
@@ -42,49 +46,42 @@ class ChannelConfig:
     pathloss_exponent: float = 3.0
     pathloss_ref_db: float = 40.05
     area_m: float = 100.0
-    slot_s: float = 0.010
-    interference_rate: float = 0.0
     velocity_kmph: float = 3.0
 
     def __post_init__(self) -> None:
         if self.sensitivity_dbm >= self.tx_power_dbm:
             raise ValueError("receiver sensitivity must sit below the TX power")
-        if self.slot_s <= 0.0:
-            raise ValueError("slot duration must be positive")
-        if not 0.0 <= self.interference_rate <= 1.0:
-            raise ValueError("interference rate must be in [0, 1]")
+        if not self.shadow_std_db >= 0.0:
+            raise ValueError(f"shadow_std_db must be >= 0, got {self.shadow_std_db}")
+        if not self.carrier_hz > 0.0:
+            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
         if self.area_m <= 0.0:
             raise ValueError("deployment area side must be positive")
         if self.velocity_kmph < 0.0:
             raise ValueError("velocity must be >= 0")
 
 
-@dataclass
-class NodeRadio:
-    """Per-node radio state: fixed position and shadowing, evolving fast fading."""
+def pathloss_db(distance_m, cfg: ChannelConfig):
+    """Log-distance pathloss in dB of a distance or an array of them.
 
-    position: tuple[float, float]
-    shadow_db: float
-    rayleigh_gain: complex
-    velocity_kmph: float = 3.0
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """What the receiver's carrier sense resolved for one slot."""
-
-    per_node_detected: tuple[int, ...]
-    interference_on: int
-    union_bit: int
-
-
-def pathloss_db(distance_m: float, cfg: ChannelConfig) -> float:
-    """Log-distance pathloss in dB, clamped below 1 m to avoid the singularity."""
-    if distance_m < 0.0:
+    Distances below 1 m are clamped to 1 m to avoid the singularity.
+    """
+    distance_m = np.asarray(distance_m, dtype=np.float64)
+    if (distance_m < 0.0).any():
         raise ValueError("distance must be >= 0")
-    return cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * math.log10(
-        max(distance_m, 1.0)
+    return cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * np.log10(
+        np.maximum(distance_m, 1.0)
     )
+
+
+def link_budget_dbm(positions: np.ndarray, shadows_db: np.ndarray, cfg: ChannelConfig):
+    """Per-node received power before fading: TX - pathloss + shadowing, in dBm.
+
+    ``positions`` has shape (nodes, 2) and ``shadows_db`` shape (nodes,);
+    the receiver sits at the centre of the deployment square.
+    """
+    offsets = np.asarray(positions) - cfg.area_m / 2.0
+    return cfg.tx_power_dbm - pathloss_db(np.hypot(*offsets.T), cfg) + shadows_db
 
 
 def doppler_correlation(velocity_kmph: float, carrier_hz: float, slot_s: float) -> float:
@@ -101,22 +98,13 @@ def doppler_correlation(velocity_kmph: float, carrier_hz: float, slot_s: float) 
     return min(max(rho, 0.0), 1.0)
 
 
-def advance_rayleigh(gain: complex, rho: float, noise: complex) -> complex:
-    """One AR(1) fading step: rho * gain + sqrt(1 - rho^2) * noise.
-
-    ``noise`` must be complex Gaussian with unit mean power (variance 1/2
-    per real component); the recursion then keeps E[|gain|^2] = 1.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("correlation must be in [0, 1]")
-    return rho * gain + math.sqrt(1.0 - rho * rho) * noise
-
-
 def rayleigh_sequence(g0: np.ndarray, rho: float, noise: np.ndarray) -> np.ndarray:
     """Vectorized AR(1) fading: gains for all nodes over all slots.
 
-    ``g0`` has shape (nodes,), ``noise`` shape (nodes, slots); the result
-    column k equals applying advance_rayleigh k+1 times, bit for bit.
+    ``g0`` has shape (nodes,), ``noise`` shape (nodes, slots) with unit mean
+    power (variance 1/2 per real component), which keeps E[|g|^2] = 1.
+    Column k of the result equals k+1 scalar steps
+    ``g = rho * g + sqrt(1 - rho^2) * w``, bit for bit.
 
     The recursion has real coefficients, so it runs as a real filter over
     the (real, imag) float pairs of the noise, which is cheaper than a
@@ -138,43 +126,28 @@ def _pairs(values: np.ndarray) -> np.ndarray:
     return values[..., None].view(np.float64)
 
 
-def received_power_dbm(
-    radio: NodeRadio, rx_position: tuple[float, float], cfg: ChannelConfig
-) -> float:
-    """Instantaneous received power: TX - pathloss + shadowing + fading gain."""
-    distance = math.dist(radio.position, rx_position)
-    magnitude = abs(radio.rayleigh_gain)
-    fade_db = 20.0 * math.log10(magnitude) if magnitude > 0.0 else -math.inf
-    return cfg.tx_power_dbm - pathloss_db(distance, cfg) + radio.shadow_db + fade_db
+def rx_power_dbm(gains: np.ndarray, budget_dbm) -> np.ndarray:
+    """Instantaneous received power budget + 20 log10|g| in dBm; -inf where g is 0.
 
-
-def detect_slot(
-    active_beeps,
-    radios,
-    rx_position: tuple[float, float],
-    cfg: ChannelConfig,
-    interference_on: int,
-) -> SlotOutcome:
-    """Resolve one slot of carrier sensing.
-
-    A node registers iff it beeped and its received power clears the
-    sensitivity threshold; the union bit adds external interference, which
-    saturates carrier sense regardless of node activity.
+    ``budget_dbm`` broadcasts against ``gains``: a (nodes, 1) column of
+    link budgets for a (nodes, slots) block of fading gains. The envelope
+    is ``np.abs`` of the gains, not ``np.hypot`` of their parts, which
+    differs from it in the last ulp and could flip a threshold.
     """
-    active_beeps = tuple(active_beeps)
-    radios = tuple(radios)
-    if len(active_beeps) != len(radios):
-        raise ValueError("one beep flag is required per radio")
-    detected = tuple(
-        int(bool(beep) and received_power_dbm(radio, rx_position, cfg) >= cfg.sensitivity_dbm)
-        for beep, radio in zip(active_beeps, radios)
-    )
-    interference = int(bool(interference_on))
-    return SlotOutcome(
-        per_node_detected=detected,
-        interference_on=interference,
-        union_bit=int(any(detected) or interference),
-    )
+    rx_dbm = np.abs(gains)
+    with np.errstate(divide="ignore"):
+        np.log10(rx_dbm, out=rx_dbm)
+    rx_dbm *= 20.0
+    rx_dbm += budget_dbm
+    return rx_dbm
+
+
+def detect(gains: np.ndarray, budget_dbm, cfg: ChannelConfig, out=None) -> np.ndarray:
+    """Carrier sense per (node, slot): received power >= the sensitivity.
+
+    Writes the flags into the bool array ``out`` when given, and returns them.
+    """
+    return np.greater_equal(rx_power_dbm(gains, budget_dbm), cfg.sensitivity_dbm, out=out)
 
 
 def standard_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

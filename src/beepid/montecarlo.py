@@ -22,14 +22,16 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .channel import (
     ChannelConfig,
+    detect,
     doppler_correlation,
+    link_budget_dbm,
     rayleigh_sequence,
     standard_complex_normal,
 )
@@ -92,7 +94,6 @@ class SimConfig:
         self.period_ms = tuple(_whole("period_ms", v) for v in _as_tuple(self.period_ms))
         self.p = tuple(float(v) for v in _as_tuple(self.p))
         self.interference_rate = tuple(float(v) for v in _as_tuple(self.interference_rate))
-        self.channel = replace(self.channel, slot_s=self.slot_s)
         self.validate()
 
     def validate(self) -> None:
@@ -171,14 +172,7 @@ class SimConfig:
             "filter_len": self.filter_len,
             "ideal_channel": self.ideal_channel,
             "master_seed": self.master_seed,
-            "tx_power_dbm": self.channel.tx_power_dbm,
-            "sensitivity_dbm": self.channel.sensitivity_dbm,
-            "shadow_std_db": self.channel.shadow_std_db,
-            "carrier_hz": self.channel.carrier_hz,
-            "pathloss_exponent": self.channel.pathloss_exponent,
-            "pathloss_ref_db": self.channel.pathloss_ref_db,
-            "area_m": self.channel.area_m,
-            "velocity_kmph": self.channel.velocity_kmph,
+            **asdict(self.channel),
         }
 
     @classmethod
@@ -197,16 +191,7 @@ class SimConfig:
             "ideal_channel": bool,
             "master_seed": int,
         }
-        known_channel = {
-            "tx_power_dbm": float,
-            "sensitivity_dbm": float,
-            "shadow_std_db": float,
-            "carrier_hz": float,
-            "pathloss_exponent": float,
-            "pathloss_ref_db": float,
-            "area_m": float,
-            "velocity_kmph": float,
-        }
+        known_channel = {f.name: float for f in fields(ChannelConfig)}
         unknown = set(raw) - set(known_sim) - set(known_channel)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -313,23 +298,9 @@ class FilterComparison:
         return self.tp_gain - self.tn_loss
 
 
-@dataclass(frozen=True)
-class RunLayout:
-    """One run's geometry: node drop, centered receiver, active roster prefix."""
-
-    positions: tuple[tuple[float, float], ...]
-    receiver: tuple[float, float]
-    active_ids: tuple[int, ...]
-
-
-def _draw_layout(cfg: SimConfig, rng: np.random.Generator) -> RunLayout:
-    area = cfg.channel.area_m
-    points = rng.uniform(0.0, area, size=(cfg.n_nodes, 2))
-    return RunLayout(
-        positions=tuple((float(x), float(y)) for x, y in points),
-        receiver=(area / 2.0, area / 2.0),
-        active_ids=cfg.active_ids(),
-    )
+def _draw_layout(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """One run's node drop: (n_nodes, 2) positions uniform over the square."""
+    return rng.uniform(0.0, cfg.channel.area_m, size=(cfg.n_nodes, 2))
 
 
 def _realise_run(
@@ -350,30 +321,20 @@ def _realise_run(
 
     ch = cfg.channel
     rng_channel = np.random.default_rng(derive_seed(run_seed, _STREAM_CHANNEL))
-    layout = _draw_layout(cfg, rng_channel)
+    positions = _draw_layout(cfg, rng_channel)
     shadows = rng_channel.normal(0.0, ch.shadow_std_db, size=cfg.n_nodes)
-    rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, ch.slot_s)
+    rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, cfg.slot_s)
     gain = standard_complex_normal(rng_channel, n_active)
     # Drawn whole: the stream yields every real part before any imaginary one.
     noise = standard_complex_normal(rng_channel, (n_active, n_periods * t_slots))
 
-    offsets = np.asarray(layout.positions[:n_active]) - np.asarray(layout.receiver)
-    pl = ch.pathloss_ref_db + 10.0 * ch.pathloss_exponent * np.log10(
-        np.maximum(np.hypot(*offsets.T), 1.0)
-    )
-    budget_dbm = (ch.tx_power_dbm - pl + shadows[:n_active])[:, None]
+    budget_dbm = link_budget_dbm(positions[:n_active], shadows[:n_active], ch)[:, None]
     above = np.empty(noise.shape, dtype=bool)
     for start in range(0, noise.shape[1], _BLOCK_SLOTS):
         block = slice(start, start + _BLOCK_SLOTS)
         gains = rayleigh_sequence(gain, rho, noise[:, block])
         gain = gains[:, -1]
-        # |g| by np.abs: np.hypot differs from it in the last ulp.
-        rx_dbm = np.abs(gains)
-        with np.errstate(divide="ignore"):
-            np.log10(rx_dbm, out=rx_dbm)
-        rx_dbm *= 20.0
-        rx_dbm += budget_dbm
-        np.greater_equal(rx_dbm, ch.sensitivity_dbm, out=above[:, block])
+        detect(gains, budget_dbm, ch, out=above[:, block])
 
     detected = above.reshape(n_active, n_periods, t_slots)
     detected &= active_patterns[:, None, :]
@@ -547,9 +508,13 @@ def run_seed_for(cfg: SimConfig, t_index: int, p_index: int, run_index: int) -> 
 
 
 def _map_points(worker, tasks, threads: int):
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (threads * 4))))
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    # No more workers than tasks: the pool forks all of them up front.
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
     return [worker(task) for task in tasks]
 
 

@@ -3,13 +3,15 @@
 Everything here is deliberately written against different machinery than
 the package (numpy uint64 wraparound instead of Python int masking, a
 direct Taylor series instead of scipy, whole-array complex arithmetic
-instead of blocked float pairs) so the two sides of each check
-cannot share a bug.
+instead of blocked float pairs, a per-node, per-slot scalar radio instead
+of the array link budget) so the two sides of each check cannot share a
+bug.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -82,28 +84,98 @@ def ref_rayleigh_sequence(g0: np.ndarray, rho: float, noise: np.ndarray) -> np.n
     return gains
 
 
-def ref_realise_run(cfg, active_patterns: np.ndarray, n_periods: int, run_seed: int):
-    """One run's (heard, draws) with the whole run's fading and link budget in one block.
+@dataclass
+class NodeRadio:
+    """Per-node radio state: fixed position and shadowing, evolving fast fading."""
 
-    The seeding, layout and Doppler correlation come from the package; the
-    noise, the fading and the link budget are the complex whole-array forms.
+    position: tuple[float, float]
+    shadow_db: float
+    rayleigh_gain: complex
+
+
+@dataclass(frozen=True)
+class SlotOutcome:
+    """What the receiver's carrier sense resolved for one slot."""
+
+    per_node_detected: tuple[int, ...]
+    interference_on: int
+    union_bit: int
+
+
+def advance_rayleigh(gain: complex, rho: float, noise: complex) -> complex:
+    """One AR(1) fading step: rho * gain + sqrt(1 - rho^2) * noise."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("correlation must be in [0, 1]")
+    return rho * gain + math.sqrt(1.0 - rho * rho) * noise
+
+
+def received_power_dbm(radio: NodeRadio, rx_position: tuple[float, float], cfg) -> float:
+    """Instantaneous received power: TX - pathloss + shadowing + fading gain."""
+    distance = max(math.dist(radio.position, rx_position), 1.0)
+    pathloss = cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * math.log10(distance)
+    magnitude = abs(radio.rayleigh_gain)
+    fade_db = 20.0 * math.log10(magnitude) if magnitude > 0.0 else -math.inf
+    return cfg.tx_power_dbm - pathloss + radio.shadow_db + fade_db
+
+
+def detect_slot(active_beeps, radios, rx_position, cfg, interference_on: int) -> SlotOutcome:
+    """Resolve one slot of carrier sensing.
+
+    A node registers iff it beeped and its received power clears the
+    sensitivity threshold; the union bit adds external interference, which
+    saturates carrier sense regardless of node activity.
+    """
+    active_beeps = tuple(active_beeps)
+    radios = tuple(radios)
+    if len(active_beeps) != len(radios):
+        raise ValueError("one beep flag is required per radio")
+    detected = tuple(
+        int(bool(beep) and received_power_dbm(radio, rx_position, cfg) >= cfg.sensitivity_dbm)
+        for beep, radio in zip(active_beeps, radios)
+    )
+    interference = int(bool(interference_on))
+    return SlotOutcome(
+        per_node_detected=detected,
+        interference_on=interference,
+        union_bit=int(any(detected) or interference),
+    )
+
+
+def _ref_run_draws(cfg, n_active: int, n_slots: int, run_seed: int):
+    """One run's randomness in the package's stream order, drawn here.
+
+    Returns the per-slot interference draws, the node positions, the
+    shadows, the Doppler correlation over ``cfg.slot_s``, the initial gains
+    and the (n_active, n_slots) fading noise.
     """
     from beepid.channel import doppler_correlation
     from beepid.fingerprint import derive_seed
-    from beepid.montecarlo import _draw_layout
 
-    n_active, t_slots = active_patterns.shape
-    draws = np.random.default_rng(derive_seed(run_seed, 2)).random((n_periods, t_slots))
+    draws = np.random.default_rng(derive_seed(run_seed, 2)).random(n_slots)
     ch = cfg.channel
     rng = np.random.default_rng(derive_seed(run_seed, 1))
-    layout = _draw_layout(cfg, rng)
+    positions = rng.uniform(0.0, ch.area_m, size=(cfg.n_nodes, 2))
     shadows = rng.normal(0.0, ch.shadow_std_db, size=cfg.n_nodes)
-    rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, ch.slot_s)
+    rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, cfg.slot_s)
     g0 = ref_standard_complex_normal(rng, n_active)
-    gains = ref_rayleigh_sequence(
-        g0, rho, ref_standard_complex_normal(rng, (n_active, n_periods * t_slots))
+    noise = ref_standard_complex_normal(rng, (n_active, n_slots))
+    return draws, positions, shadows, rho, g0, noise
+
+
+def ref_realise_run(cfg, active_patterns: np.ndarray, n_periods: int, run_seed: int):
+    """One run's (heard, draws) with the whole run's fading and link budget in one block.
+
+    The seeding and the Doppler correlation come from the package; the
+    layout, the noise, the fading and the link budget are drawn and
+    evaluated here, in whole-array complex form.
+    """
+    n_active, t_slots = active_patterns.shape
+    draws, positions, shadows, rho, g0, noise = _ref_run_draws(
+        cfg, n_active, n_periods * t_slots, run_seed
     )
-    offsets = np.asarray(layout.positions[:n_active]) - np.asarray(layout.receiver)
+    ch = cfg.channel
+    gains = ref_rayleigh_sequence(g0, rho, noise)
+    offsets = positions[:n_active] - np.array([ch.area_m / 2.0, ch.area_m / 2.0])
     pl = ch.pathloss_ref_db + 10.0 * ch.pathloss_exponent * np.log10(
         np.maximum(np.hypot(*offsets.T), 1.0)
     )
@@ -111,4 +183,35 @@ def ref_realise_run(cfg, active_patterns: np.ndarray, n_periods: int, run_seed: 
         fade_db = 20.0 * np.log10(np.abs(gains))
     rx_dbm = (ch.tx_power_dbm - pl + shadows[:n_active])[:, None] + fade_db
     above = (rx_dbm >= ch.sensitivity_dbm).reshape(n_active, n_periods, t_slots)
-    return (active_patterns[:, None, :] & above).any(axis=0), draws
+    heard = (active_patterns[:, None, :] & above).any(axis=0)
+    return heard, draws.reshape(n_periods, t_slots)
+
+
+def ref_slot_by_slot_run(
+    cfg, active_patterns: np.ndarray, n_periods: int, run_seed: int, interference_rate: float
+) -> list[list[SlotOutcome]]:
+    """One run resolved slot by slot through the scalar radio: per period, per slot outcomes.
+
+    Each node's gain steps through ``advance_rayleigh`` and every slot goes
+    through ``detect_slot``.
+    """
+    n_active, t_slots = active_patterns.shape
+    draws, positions, shadows, rho, g0, noise = _ref_run_draws(
+        cfg, n_active, n_periods * t_slots, run_seed
+    )
+    radios = [
+        NodeRadio((float(x), float(y)), float(shadow), complex(gain))
+        for (x, y), shadow, gain in zip(positions, shadows, g0)
+    ]
+    receiver = (cfg.channel.area_m / 2.0, cfg.channel.area_m / 2.0)
+    periods = []
+    for period in range(n_periods):
+        outcomes = []
+        for t in range(t_slots):
+            k = period * t_slots + t
+            for radio, w in zip(radios, noise[:, k]):
+                radio.rayleigh_gain = advance_rayleigh(radio.rayleigh_gain, rho, complex(w))
+            intf = int(draws[k] < interference_rate)
+            outcomes.append(detect_slot(active_patterns[:, t], radios, receiver, cfg.channel, intf))
+        periods.append(outcomes)
+    return periods

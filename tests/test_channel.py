@@ -1,6 +1,7 @@
 """Radio model: link budget, Doppler correlation, AR(1) fading, detection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,27 +10,50 @@ from hypothesis import strategies as st
 
 from beepid.channel import (
     ChannelConfig,
-    NodeRadio,
-    advance_rayleigh,
-    detect_slot,
+    detect,
     doppler_correlation,
+    link_budget_dbm,
     pathloss_db,
     rayleigh_sequence,
-    received_power_dbm,
+    rx_power_dbm,
     standard_complex_normal,
 )
+from beepid.identify import ChannelTrace, pattern_matrix
+from beepid.montecarlo import SimConfig, _realise_run, simulate_run_traces
 from oracles import (
     FIRST_J0_ZERO,
+    NodeRadio,
+    advance_rayleigh,
     bessel_j0_series,
+    detect_slot,
+    received_power_dbm,
     ref_rayleigh_sequence,
+    ref_slot_by_slot_run,
     ref_standard_complex_normal,
 )
 
 FREE_SPACE = ChannelConfig(pathloss_exponent=2.0, pathloss_ref_db=40.05)
+CENTRE = (50.0, 50.0)
 
 
-def _radio(x, y, shadow=0.0, gain=1.0 + 0j):
-    return NodeRadio(position=(x, y), shadow_db=shadow, rayleigh_gain=gain)
+def _one_slot(x, y, shadow=0.0, gain=1.0 + 0j, cfg=FREE_SPACE):
+    """Received power and detection flag of one node in one slot, by the array path."""
+    budget = link_budget_dbm(np.array([[x, y]]), np.array([shadow]), cfg)[:, None]
+    gains = np.array([[gain]], dtype=np.complex128)
+    return rx_power_dbm(gains, budget)[0, 0], detect(gains, budget, cfg)[0, 0]
+
+
+def _run_cfg(n_nodes=2, **channel) -> SimConfig:
+    return SimConfig(
+        runs=1,
+        sim_length_s=2.0,
+        period_ms=(100,),
+        p=(0.3,),
+        interference_rate=(0.0,),
+        n_nodes=n_nodes,
+        n_active=n_nodes,
+        channel=ChannelConfig(**channel),
+    )
 
 
 def test_pathloss_reference_distance():
@@ -39,15 +63,21 @@ def test_pathloss_reference_distance():
 def test_pathloss_clamps_below_one_meter():
     assert pathloss_db(0.2, FREE_SPACE) == pathloss_db(1.0, FREE_SPACE)
     assert pathloss_db(0.0, FREE_SPACE) == pathloss_db(1.0, FREE_SPACE)
+    assert np.array_equal(
+        pathloss_db(np.array([0.0, 0.2, 1.0]), FREE_SPACE), np.full(3, pathloss_db(1.0, FREE_SPACE))
+    )
 
 
 def test_pathloss_hand_computed_value():
     assert pathloss_db(10.0, FREE_SPACE) == pytest.approx(60.05)
+    assert pathloss_db(np.array([10.0, 100.0]), FREE_SPACE) == pytest.approx([60.05, 80.05])
 
 
 def test_pathloss_rejects_negative_distance():
     with pytest.raises(ValueError):
         pathloss_db(-1.0, FREE_SPACE)
+    with pytest.raises(ValueError):
+        pathloss_db(np.array([5.0, -1.0]), FREE_SPACE)
 
 
 def test_doppler_static_channel():
@@ -136,78 +166,167 @@ def test_rayleigh_long_run_statistics():
     assert abs(np.mean(np.abs(gains) ** 2) - 1.0) <= 0.03
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n_nodes=st.integers(1, 4),
+    n_slots=st.integers(1, 5),
+    cfg=st.sampled_from([ChannelConfig(), FREE_SPACE, ChannelConfig(tx_power_dbm=-60.0)]),
+)
+def test_array_detection_matches_scalar_oracle(data, n_nodes, n_slots, cfg):
+    # Positions anywhere in the square, or within 1.5 m of the receiver;
+    # gains of any size including 0j, which is never heard.
+    def rows(element, n):
+        return st.lists(element, min_size=n, max_size=n)
+
+    coord = st.one_of(st.floats(0.0, 100.0), st.floats(48.5, 51.5))
+    gain = st.one_of(
+        st.just(0j), st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+    )
+    positions = np.array(data.draw(rows(st.tuples(coord, coord), n_nodes)))
+    shadows = np.array(data.draw(rows(st.floats(-30.0, 30.0), n_nodes)))
+    gains = np.array(data.draw(rows(rows(gain, n_slots), n_nodes)), dtype=np.complex128)
+    budget = link_budget_dbm(positions, shadows, cfg)[:, None]
+    power = rx_power_dbm(gains, budget)
+    flags = detect(gains, budget, cfg)
+    assert flags.dtype == bool and flags.shape == gains.shape
+    for k in range(n_slots):
+        radios = [
+            NodeRadio((float(x), float(y)), float(shadow), complex(g))
+            for (x, y), shadow, g in zip(positions, shadows, gains[:, k])
+        ]
+        outcome = detect_slot([1] * n_nodes, radios, CENTRE, cfg, 0)
+        for i, radio in enumerate(radios):
+            expected = received_power_dbm(radio, CENTRE, cfg)
+            if math.isinf(expected):
+                assert power[i, k] == expected and not flags[i, k]
+                continue
+            assert abs(power[i, k] - expected) <= 1e-9
+            if abs(expected - cfg.sensitivity_dbm) > 1e-9:
+                assert flags[i, k] == bool(outcome.per_node_detected[i])
+
+
 def test_detect_slot_silence():
-    cfg = FREE_SPACE
-    outcome = detect_slot([0, 0], [_radio(40, 50), _radio(60, 50)], (50, 50), cfg, 0)
-    assert outcome.union_bit == 0
-    assert outcome.per_node_detected == (0, 0)
+    # Two nodes close enough to be heard through any plausible fade: they
+    # are heard only in the slots they beep in.
+    cfg = _run_cfg(area_m=2.0, shadow_std_db=0.0)
+    silent = np.zeros((2, 10), dtype=bool)
+    heard, _ = _realise_run(cfg, silent, 20, 1)
+    assert not heard.any()
+    heard, _ = _realise_run(cfg, ~silent, 20, 1)
+    assert heard.all()
 
 
 def test_detect_slot_interference_saturates():
-    outcome = detect_slot([0], [_radio(40, 50)], (50, 50), FREE_SPACE, 1)
-    assert outcome.union_bit == 1
-    assert outcome.per_node_detected == (0,)
-    assert outcome.interference_on == 1
+    # p = 0: nobody beeps, yet interference at rate 1 fills every slot.
+    cfg = _run_cfg(n_nodes=3)
+    for seed in (1, 2):
+        for trace in simulate_run_traces(cfg, 100, 0.0, 1.0, seed):
+            assert trace.bits == (1 << trace.period_slots) - 1
+        assert all(t.bits == 0 for t in simulate_run_traces(cfg, 100, 0.0, 0.0, seed))
 
 
 def test_detect_slot_link_budget_example():
     # 10 m, no shadowing, |gain| = 1: received -20 - 60.05 = -80.05 dBm >= -104.
-    outcome = detect_slot([1], [_radio(50, 60)], (50, 50), FREE_SPACE, 0)
-    assert outcome.per_node_detected == (1,)
-    assert outcome.union_bit == 1
-    assert received_power_dbm(_radio(50, 60), (50, 50), FREE_SPACE) == pytest.approx(
-        -80.05
+    power, heard = _one_slot(50, 60)
+    assert power == pytest.approx(-80.05) and heard
+    assert received_power_dbm(NodeRadio((50, 60), 0.0, 1 + 0j), CENTRE, FREE_SPACE) == (
+        pytest.approx(-80.05)
     )
+    # The receiver sits at the centre of the square: a node there loses only
+    # the 1 m reference pathloss.
+    assert _one_slot(*CENTRE)[0] == pytest.approx(-20.0 - 40.05)
 
 
 def test_detect_slot_below_sensitivity():
     # A deep fade pushes the same node under the floor.
-    faded = _radio(50, 60, gain=1e-3 + 0j)
-    outcome = detect_slot([1], [faded], (50, 50), FREE_SPACE, 0)
-    assert outcome.union_bit == 0
+    power, heard = _one_slot(50, 60, gain=1e-3 + 0j)
+    assert power == pytest.approx(-140.05) and not heard
+    # The threshold is inclusive: -20 dBm less an 84 dB loss at the
+    # receiver lands exactly on the -104 dBm floor and is heard.
+    at_floor = ChannelConfig(pathloss_ref_db=84.0)
+    assert _one_slot(*CENTRE, cfg=at_floor) == (-104.0, True)
+    radio = NodeRadio(CENTRE, 0.0, 1 + 0j)
+    assert detect_slot([1], [radio], CENTRE, at_floor, 0).per_node_detected == (1,)
 
 
 def test_zero_gain_is_never_detected():
-    dead = _radio(50, 51, gain=0j)
-    assert received_power_dbm(dead, (50, 50), FREE_SPACE) == -math.inf
-    assert detect_slot([1], [dead], (50, 50), FREE_SPACE, 0).union_bit == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        power, heard = _one_slot(50, 51, gain=0j)
+    assert power == -math.inf and not heard
+    dead = NodeRadio((50, 51), 0.0, 0j)
+    assert received_power_dbm(dead, CENTRE, FREE_SPACE) == -math.inf
+    assert detect_slot([1], [dead], CENTRE, FREE_SPACE, 0).union_bit == 0
 
 
 def test_union_monotone_in_beepers():
-    radios = [_radio(50, 60), _radio(50, 45)]
-    one = detect_slot([1, 0], radios, (50, 50), FREE_SPACE, 0)
-    both = detect_slot([1, 1], radios, (50, 50), FREE_SPACE, 0)
-    assert both.union_bit >= one.union_bit
+    # Same draws, second node silenced or beeping: adding a beeper only adds slots.
+    cfg = _run_cfg()
+    both = pattern_matrix((1, 2), 0.3, 10)
+    one = both.copy()
+    one[1] = False
+    for seed in range(4):
+        heard_one, _ = _realise_run(cfg, one, 20, seed)
+        heard_both, _ = _realise_run(cfg, both, 20, seed)
+        assert not (heard_one & ~heard_both).any()
 
 
 def test_detection_monotone_in_tx_power():
     # Just below the threshold at the default budget, detected with +10 dB.
-    radio = _radio(50, 60, shadow=-24.0)
-    low = detect_slot([1], [radio], (50, 50), FREE_SPACE, 0)
-    boosted = ChannelConfig(
-        tx_power_dbm=-10.0, pathloss_exponent=2.0, pathloss_ref_db=40.05
-    )
-    high = detect_slot([1], [radio], (50, 50), boosted, 0)
-    assert low.union_bit == 0 and high.union_bit == 1
+    power, heard = _one_slot(50, 60, shadow=-24.0)
+    boosted = ChannelConfig(tx_power_dbm=-10.0, pathloss_exponent=2.0, pathloss_ref_db=40.05)
+    boosted_power, boosted_heard = _one_slot(50, 60, shadow=-24.0, cfg=boosted)
+    assert not heard and boosted_heard
+    assert boosted_power == pytest.approx(power + 10.0)
 
 
 def test_detect_slot_alignment_checked():
+    # One budget per node: a budget column of the wrong length is refused.
+    gains = np.ones((1, 5), dtype=np.complex128)
     with pytest.raises(ValueError):
-        detect_slot([1, 0], [_radio(10, 10)], (50, 50), FREE_SPACE, 0)
+        detect(gains, np.zeros((2, 1)), FREE_SPACE)
+    with pytest.raises(ValueError):
+        link_budget_dbm(np.zeros((2, 2)), np.zeros(3), FREE_SPACE)
 
 
 def test_slot_outcome_invariant_holds():
-    radios = [_radio(50, 60), _radio(50, 40, gain=0j)]
-    outcome = detect_slot([1, 1], radios, (50, 50), FREE_SPACE, 0)
-    assert outcome.union_bit == int(any(outcome.per_node_detected) or outcome.interference_on)
+    # The slot-by-slot scalar radio reproduces a run's union traces, in which
+    # fades erase some beeps, and each slot's union is its detections or
+    # its interference.
+    cfg = _run_cfg(n_nodes=5)
+    patterns = pattern_matrix(cfg.active_ids(), 0.3, 10)
+    erased = 0
+    for seed in (1, 7):
+        traces = simulate_run_traces(cfg, 100, 0.3, 0.1, seed)
+        periods = ref_slot_by_slot_run(cfg, patterns, cfg.periods_per_run(100), seed, 0.1)
+        assert len(traces) == len(periods)
+        for trace, outcomes in zip(traces, periods):
+            for t, outcome in enumerate(outcomes):
+                union = any(outcome.per_node_detected) or outcome.interference_on
+                assert outcome.union_bit == int(union)
+                erased += int((patterns[:, t] > np.array(outcome.per_node_detected)).sum())
+            assert trace == ChannelTrace.from_slots(o.union_bit for o in outcomes)
+    assert erased > 0
 
 
 def test_channel_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(sensitivity_dbm=-10.0, tx_power_dbm=-20.0)
     with pytest.raises(ValueError):
-        ChannelConfig(slot_s=0.0)
-    with pytest.raises(ValueError):
-        ChannelConfig(interference_rate=1.5)
-    with pytest.raises(ValueError):
         ChannelConfig(velocity_kmph=-3.0)
+    with pytest.raises(ValueError):
+        ChannelConfig(area_m=0.0)
+    for key, value in (
+        ("shadow_std_db", -1.0),
+        ("shadow_std_db", math.nan),
+        ("carrier_hz", 0.0),
+        ("carrier_hz", -1.0),
+    ):
+        with pytest.raises(ValueError, match=key):
+            ChannelConfig(**{key: value})
+    assert ChannelConfig(shadow_std_db=0.0).shadow_std_db == 0.0
+    # The slot length and the interference rate are SimConfig's alone.
+    for key in ("slot_s", "interference_rate"):
+        with pytest.raises(TypeError):
+            ChannelConfig(**{key: 0.5})

@@ -252,3 +252,17 @@ def test_non_finite_override_is_a_config_error(config_path, capsys, override):
     assert main(["sweep", "--config", config_path, "--set", override]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "not a finite number" in err
+
+
+@pytest.mark.parametrize("override", ["shadow_std_db=-1", "carrier_hz=0", "carrier_hz=-1"])
+def test_out_of_range_radio_constant_is_a_config_error(config_path, capsys, override):
+    assert main(["sweep", "--config", config_path, "--set", override]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and override.partition("=")[0] in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_thread_count_below_one_is_a_config_error(config_path, capsys, threads):
+    assert main(["sweep", "--config", config_path, "--threads", threads]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "threads" in err

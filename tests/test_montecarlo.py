@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import ref_realise_run
 
-from beepid.channel import ChannelConfig
+import beepid.montecarlo as montecarlo
+from beepid.channel import ChannelConfig, link_budget_dbm
 from beepid.identify import ChannelTrace, _pattern_bits, pattern_matrix
 from beepid.montecarlo import (
     _BLOCK_SLOTS,
@@ -91,6 +92,37 @@ def test_thread_count_does_not_change_results():
     assert sweep(cfg, threads=1) == sweep(cfg, threads=2)
 
 
+def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    one_cell = _point_cfg(runs=1)
+    four_cells = _point_cfg(runs=1, period_ms=(50, 100), p=(0.2, 0.4), filter_len=2)
+    assert sweep(one_cell, threads=10**6) == sweep(one_cell)
+    assert sizes == []
+    assert sweep(four_cells, threads=10**6) == sweep(four_cells)
+    assert compare_filtering(four_cells, threads=3) == compare_filtering(four_cells)
+    assert sizes == [4, 3]
+    for threads in (0, -5):
+        with pytest.raises(ConfigError, match="threads"):
+            sweep(one_cell, threads=threads)
+
+
 def test_full_grid_produces_all_records():
     cfg = SimConfig(runs=1, ideal_channel=True)
     records = sweep(cfg)
@@ -164,11 +196,15 @@ def test_compare_filtering_pairs_the_same_traces():
 
 def test_layout_draw():
     cfg = _point_cfg()
-    layout = _draw_layout(cfg, np.random.default_rng(5))
-    assert layout.receiver == (50.0, 50.0)
-    assert len(layout.positions) == cfg.n_nodes
-    assert all(0.0 <= x <= 100.0 and 0.0 <= y <= 100.0 for x, y in layout.positions)
-    assert layout.active_ids == (1, 2, 3, 4, 5)
+    positions = _draw_layout(cfg, np.random.default_rng(5))
+    assert positions.shape == (cfg.n_nodes, 2)
+    assert ((0.0 <= positions) & (positions <= 100.0)).all()
+    assert np.array_equal(positions, np.random.default_rng(5).uniform(0.0, 100.0, (10, 2)))
+    # The receiver is the centre of the square: a node there sees only the
+    # 1 m reference pathloss.
+    ch = cfg.channel
+    centre_budget = link_budget_dbm(np.array([[50.0, 50.0]]), np.zeros(1), ch)
+    assert centre_budget[0] == ch.tx_power_dbm - ch.pathloss_ref_db
 
 
 def test_run_once_requires_singleton_grids():
@@ -197,6 +233,10 @@ def test_config_validation():
         _point_cfg(master_seed=-1)
     with pytest.raises(ConfigError):
         _point_cfg(runs=0)
+    with pytest.raises(ConfigError):
+        _point_cfg(slot_s=0.0)
+    with pytest.raises(ConfigError):
+        _point_cfg(interference_rate=(1.5,))
 
 
 def test_config_dict_round_trip():
@@ -218,9 +258,15 @@ def test_config_rejects_unknown_and_bad_keys():
 
 
 def test_channel_slot_duration_follows_sim_config():
+    # The fading correlation is taken over SimConfig's slot, which the
+    # oracle reads too; at 3 km/h it is 0.989 for 5 ms slots, 0.957 for 10 ms.
     cfg = _point_cfg(slot_s=0.005, period_ms=(100,))
-    assert cfg.channel.slot_s == 0.005
     assert cfg.slots_per_period(100) == 20
+    patterns = pattern_matrix(cfg.active_ids(), 0.3, 20)
+    for run_seed in (1, 2):
+        heard, draws = _realise_run(cfg, patterns, 50, run_seed)
+        ref_heard, ref_draws = ref_realise_run(cfg, patterns, 50, run_seed)
+        assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
 
 
 def test_harsher_pathloss_lowers_tp():
