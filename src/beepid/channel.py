@@ -18,7 +18,9 @@ the slots it occupies; the harness ORs it into the union trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from contextlib import suppress
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.signal import lfilter
@@ -26,6 +28,25 @@ from scipy.special import j0
 
 SPEED_OF_LIGHT = 2.99792458e8
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+class ConfigError(ValueError):
+    """Raised for invalid or inconsistent simulation configuration."""
+
+
+def finite_real(key: str, value) -> float:
+    """``value`` as a float when it is a finite real number.
+
+    Bools, strings, None, containers, NaN and infinities are refused, with
+    the config key named; nothing is converted from another kind.
+    """
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int beyond the float range
+            number = float(value)
+    if math.isfinite(number):
+        return number
+    raise ConfigError(f"config key {key!r} has invalid value {value!r}: not a finite real number")
 
 
 @dataclass(frozen=True)
@@ -49,16 +70,18 @@ class ChannelConfig:
     velocity_kmph: float = 3.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, finite_real(f.name, getattr(self, f.name)))
         if self.sensitivity_dbm >= self.tx_power_dbm:
-            raise ValueError("receiver sensitivity must sit below the TX power")
-        if not self.shadow_std_db >= 0.0:
-            raise ValueError(f"shadow_std_db must be >= 0, got {self.shadow_std_db}")
-        if not self.carrier_hz > 0.0:
-            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
+            raise ConfigError("sensitivity_dbm must sit below tx_power_dbm")
+        if self.shadow_std_db < 0.0:
+            raise ConfigError(f"shadow_std_db must be >= 0, got {self.shadow_std_db}")
+        if self.carrier_hz <= 0.0:
+            raise ConfigError(f"carrier_hz must be positive, got {self.carrier_hz}")
         if self.area_m <= 0.0:
-            raise ValueError("deployment area side must be positive")
+            raise ConfigError(f"area_m must be positive, got {self.area_m}")
         if self.velocity_kmph < 0.0:
-            raise ValueError("velocity must be >= 0")
+            raise ConfigError(f"velocity_kmph must be >= 0, got {self.velocity_kmph}")
 
 
 def pathloss_db(distance_m, cfg: ChannelConfig):

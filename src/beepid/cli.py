@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import false_id_prob, optimal_p, optimal_T, optimal_T_exact
@@ -122,8 +123,6 @@ def load_config(path: str, overrides: list[str], seed: int | None) -> SimConfig:
         raise ConfigError("config file must hold a JSON object")
     for text in overrides:
         key, value = _parse_override(text)
-        if key not in SimConfig().to_dict():
-            raise ConfigError(f"unknown config key: {key!r}")
         raw[key] = value
     if seed is not None:
         raw["master_seed"] = seed
@@ -137,12 +136,14 @@ def _write_output(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text, newline="")
 
 
-def _emit_gnuplot(out_path: str | None) -> None:
+def _gnuplot_path(out_path: str | None) -> Path:
+    """Where ``--emit-gnuplot`` writes its script: beside the CSV file, never over it."""
     if out_path is None:
-        return
-    csv_name = Path(out_path).name
-    script = GNUPLOT_TEMPLATE.format(csv=csv_name)
-    Path(out_path).with_suffix(".gp").write_text(script)
+        raise ConfigError("--emit-gnuplot needs --out: the script plots the CSV file")
+    script = Path(out_path).with_suffix(".gp")
+    if script == Path(out_path):
+        raise ConfigError(f"--emit-gnuplot would overwrite the CSV {out_path} with its script")
+    return script
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -176,13 +177,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set or [], args.seed)
-    for grid_name in ("period_ms", "p", "interference_rate"):
-        if len(getattr(cfg, grid_name)) != 1:
-            raise ConfigError(
-                f"simulate needs single-valued grids; {grid_name} has "
-                f"{len(getattr(cfg, grid_name))} values (use sweep, or --set "
-                f"{grid_name}=<one value>)"
-            )
+    cfg.require_single_point()
     records = sweep(cfg, threads=args.threads)
     _write_output(metrics_csv(records), args.out)
     _maybe_dump_config(cfg, args)
@@ -190,11 +185,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    script = _gnuplot_path(args.out) if args.emit_gnuplot else None
     cfg = load_config(args.config, args.set or [], args.seed)
     records = sweep(cfg, threads=args.threads)
     _write_output(metrics_csv(records), args.out)
-    if args.emit_gnuplot:
-        _emit_gnuplot(args.out)
+    if script is not None:
+        script.write_text(GNUPLOT_TEMPLATE.format(csv=Path(args.out).name))
     _maybe_dump_config(cfg, args)
     return EXIT_OK
 
@@ -202,8 +198,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_compare_filter(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set or [], args.seed)
     if args.filter_len is not None:
-        cfg.filter_len = args.filter_len
-        cfg.validate()
+        cfg = replace(cfg, filter_len=args.filter_len)
     records = compare_filtering(cfg, threads=args.threads)
     _write_output(compare_csv(records), args.out)
     _maybe_dump_config(cfg, args)

@@ -29,8 +29,10 @@ import numpy as np
 
 from .channel import (
     ChannelConfig,
+    ConfigError,
     detect,
     doppler_correlation,
+    finite_real,
     link_budget_dbm,
     rayleigh_sequence,
     standard_complex_normal,
@@ -58,17 +60,62 @@ _STREAM_INTERFERENCE = 2
 _BLOCK_SLOTS = 1 << 14
 
 
-class ConfigError(ValueError):
-    """Raised for invalid or inconsistent simulation configuration."""
+def _whole(key: str, value) -> int:
+    """``value`` as an int when it is a whole number; anything else is refused, not truncated."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"config key {key!r} has invalid value {value!r}: not a whole number")
 
 
-@dataclass
+def _flag(key: str, value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"config key {key!r} has invalid value {value!r}: not a bool")
+
+
+def _grid(read):
+    """A reader for a non-empty grid of ``read``'s kind; a lone value is a one-point grid."""
+
+    def read_grid(key: str, value) -> tuple:
+        values = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+        if not values:
+            raise ConfigError(f"{key} grid must be non-empty")
+        return tuple(read(key, v) for v in values)
+
+    return read_grid
+
+
+# The reader of each SimConfig field but ``channel``, in field order: it
+# refuses a value of the wrong kind and returns the value normalised.
+_FIELD_READERS = {
+    "runs": _whole,
+    "sim_length_s": finite_real,
+    "slot_s": finite_real,
+    "period_ms": _grid(_whole),
+    "n_nodes": _whole,
+    "n_active": _whole,
+    "p": _grid(finite_real),
+    "interference_rate": _grid(finite_real),
+    "filter_len": _whole,
+    "ideal_channel": _flag,
+    "master_seed": _whole,
+}
+
+
+@dataclass(frozen=True)
 class SimConfig:
-    """Full experiment parameterization.
+    """Full experiment parameterization, checked on construction.
 
     Grid fields (period_ms, p, interference_rate) hold one or more values;
     sweeps cover their Cartesian product while single-run entry points
-    require singletons.
+    require singletons. Frozen: derive a variant with ``dataclasses.replace``,
+    which checks it again.
     """
 
     runs: int = 50
@@ -85,18 +132,8 @@ class SimConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
 
     def __post_init__(self) -> None:
-        for name in ("runs", "n_nodes", "n_active", "filter_len", "master_seed"):
-            setattr(self, name, _whole(name, getattr(self, name)))
-        if not isinstance(self.ideal_channel, bool):
-            raise ConfigError(
-                f"config key 'ideal_channel' has invalid value {self.ideal_channel!r}: not a bool"
-            )
-        self.period_ms = tuple(_whole("period_ms", v) for v in _as_tuple(self.period_ms))
-        self.p = tuple(float(v) for v in _as_tuple(self.p))
-        self.interference_rate = tuple(float(v) for v in _as_tuple(self.interference_rate))
-        self.validate()
-
-    def validate(self) -> None:
+        for name, read in _FIELD_READERS.items():
+            object.__setattr__(self, name, read(name, getattr(self, name)))
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.n_nodes < 1:
@@ -107,13 +144,10 @@ class SimConfig:
             raise ConfigError("filter_len must be >= 0")
         if not 0 <= self.master_seed <= MASK64:
             raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-        if not 0 < self.slot_s < math.inf:
-            raise ConfigError("slot_s must be positive and finite")
-        if not 0 < self.sim_length_s < math.inf:
-            raise ConfigError("sim_length_s must be positive and finite")
-        for grid_name in ("period_ms", "p", "interference_rate"):
-            if not getattr(self, grid_name):
-                raise ConfigError(f"{grid_name} grid must be non-empty")
+        if self.slot_s <= 0:
+            raise ConfigError("slot_s must be positive")
+        if self.sim_length_s <= 0:
+            raise ConfigError("sim_length_s must be positive")
         for p in self.p:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"beep probability {p} outside [0, 1]")
@@ -121,11 +155,20 @@ class SimConfig:
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"interference rate {rate} outside [0, 1]")
         for period_ms in self.period_ms:
-            self.slots_per_period(period_ms)
             if self.periods_per_run(period_ms) < 1:
                 raise ConfigError(
                     f"simulation length {self.sim_length_s}s is shorter than one "
                     f"{period_ms}ms period"
+                )
+
+    def require_single_point(self) -> None:
+        """Refuse a grid: a single-run entry point needs one value per grid field."""
+        for name in ("period_ms", "p", "interference_rate"):
+            count = len(getattr(self, name))
+            if count != 1:
+                raise ConfigError(
+                    f"a single parameter point needs one value per grid, but {name} "
+                    f"has {count} values (sweep covers a grid)"
                 )
 
     def slots_per_period(self, period_ms: int) -> int:
@@ -160,91 +203,21 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         """Flat JSON-ready form; channel constants inline alongside the rest."""
+        values = ((name, getattr(self, name)) for name in _FIELD_READERS)
         return {
-            "runs": self.runs,
-            "sim_length_s": self.sim_length_s,
-            "slot_s": self.slot_s,
-            "period_ms": list(self.period_ms),
-            "n_nodes": self.n_nodes,
-            "n_active": self.n_active,
-            "p": list(self.p),
-            "interference_rate": list(self.interference_rate),
-            "filter_len": self.filter_len,
-            "ideal_channel": self.ideal_channel,
-            "master_seed": self.master_seed,
+            **{name: list(v) if isinstance(v, tuple) else v for name, v in values},
             **asdict(self.channel),
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
         """Build a config from the flat dict form, rejecting unknown keys."""
-        known_sim = {
-            "runs": int,
-            "sim_length_s": float,
-            "slot_s": float,
-            "period_ms": tuple,
-            "n_nodes": int,
-            "n_active": int,
-            "p": tuple,
-            "interference_rate": tuple,
-            "filter_len": int,
-            "ideal_channel": bool,
-            "master_seed": int,
-        }
-        known_channel = {f.name: float for f in fields(ChannelConfig)}
-        unknown = set(raw) - set(known_sim) - set(known_channel)
+        channel_keys = {f.name for f in fields(ChannelConfig)}
+        unknown = raw.keys() - _FIELD_READERS.keys() - channel_keys
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        sim_kwargs = {}
-        for key, value in raw.items():
-            if key in known_sim:
-                sim_kwargs[key] = _coerce(key, value, known_sim[key])
-        channel_kwargs = {}
-        for key, value in raw.items():
-            if key in known_channel:
-                channel_kwargs[key] = _coerce(key, value, known_channel[key])
-        try:
-            channel = ChannelConfig(**channel_kwargs)
-            return cls(channel=channel, **sim_kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
-def _as_tuple(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return (value,)
-
-
-def _coerce(key: str, value, kind):
-    try:
-        if kind is tuple:
-            return tuple(value) if isinstance(value, (list, tuple)) else (value,)
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise TypeError
-            return value
-        if kind is int:
-            return _whole(key, value)
-        number = float(value)
-        if not math.isfinite(number):
-            raise ValueError
-        return number
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} has invalid value {value!r}") from None
-
-
-def _whole(key: str, value) -> int:
-    """``value`` as an int when it is a whole number; anything else is refused, not truncated."""
-    if isinstance(value, float):
-        if value.is_integer():
-            return int(value)
-    elif not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"config key {key!r} has invalid value {value!r}: not a whole number")
+        channel = ChannelConfig(**{k: v for k, v in raw.items() if k in channel_keys})
+        return cls(channel=channel, **{k: v for k, v in raw.items() if k in _FIELD_READERS})
 
 
 @dataclass(frozen=True)
@@ -492,12 +465,7 @@ def run_once(cfg: SimConfig, run_seed: int) -> MetricsRecord:
 
     Requires every grid field to hold exactly one value.
     """
-    for grid_name in ("period_ms", "p", "interference_rate"):
-        if len(getattr(cfg, grid_name)) != 1:
-            raise ConfigError(
-                f"run_once needs a single-point grid, but {grid_name} has "
-                f"{len(getattr(cfg, grid_name))} values"
-            )
+    cfg.require_single_point()
     counts = _point_counts((cfg, 0, 0, [run_seed], (cfg.filter_len,)))
     return _record(replace(cfg, runs=1), 0, 0, 0, cfg.filter_len, counts[0, 0])
 

@@ -1,5 +1,6 @@
 """Radio model: link budget, Doppler correlation, AR(1) fading, detection."""
 
+import dataclasses
 import math
 import warnings
 
@@ -326,6 +327,12 @@ def test_channel_config_validation():
         with pytest.raises(ValueError, match=key):
             ChannelConfig(**{key: value})
     assert ChannelConfig(shadow_std_db=0.0).shadow_std_db == 0.0
+    # Every radio constant is a finite real; NaN used to pass every range check.
+    for f in dataclasses.fields(ChannelConfig):
+        for value in (math.nan, math.inf, -math.inf, True, "1", None, [1.0]):
+            with pytest.raises(ValueError, match=f.name):
+                ChannelConfig(**{f.name: value})
+    assert type(ChannelConfig(tx_power_dbm=-20).tx_power_dbm) is float
     # The slot length and the interference rate are SimConfig's alone.
     for key in ("slot_s", "interference_rate"):
         with pytest.raises(TypeError):

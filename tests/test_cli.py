@@ -1,12 +1,20 @@
 """CLI: subcommands, overrides, CSV schema, exit codes, determinism."""
 
+import argparse
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import beepid.cli as cli
+from beepid.channel import ChannelConfig
 from beepid.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from beepid.montecarlo import SimConfig
 
 BASE_CONFIG = {
     "runs": 2,
@@ -224,6 +232,25 @@ def test_emit_gnuplot_companion(config_path, tmp_path):
     assert "plot.csv" in script
 
 
+def _refuse_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
+def test_emit_gnuplot_without_out_is_refused_before_the_sweep(config_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sweep", _refuse_sweep)
+    assert main(["sweep", "--config", config_path, "--emit-gnuplot"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--out" in captured.err
+
+
+def test_emit_gnuplot_never_overwrites_the_csv(config_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sweep", _refuse_sweep)
+    out_path = tmp_path / "plot.gp"
+    assert main(["sweep", "--config", config_path, "--out", str(out_path), "--emit-gnuplot"]) == EXIT_CONFIG
+    assert not out_path.exists()
+    assert "overwrite" in capsys.readouterr().err
+
+
 def test_stdout_output(config_path, capsys):
     assert main(["simulate", "--config", config_path]) == EXIT_OK
     out = capsys.readouterr().out
@@ -266,3 +293,67 @@ def test_thread_count_below_one_is_a_config_error(config_path, capsys, threads):
     assert main(["sweep", "--config", config_path, "--threads", threads]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "threads" in err
+
+
+@pytest.mark.parametrize("filter_len", ["1", "-1"])
+def test_filter_len_option_is_checked_like_the_config_key(config_path, capsys, filter_len):
+    assert main(["compare-filter", "--config", config_path, "--filter-len", filter_len]) == EXIT_CONFIG
+    assert "filter_len" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["sim_length_s", "p", "tx_power_dbm"])
+@pytest.mark.parametrize(
+    "value", [True, "5", None, [[0.5]], math.nan, math.inf, -math.inf], ids=repr
+)
+def test_config_value_of_another_kind_is_refused(tmp_path, capsys, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, key: value}))
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err
+
+
+def _real_lists(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def _valid_configs(draw):
+    slot_ms = draw(st.sampled_from([1, 2, 5, 10]))
+    period_ms = draw(st.lists(st.integers(1, 100).map(lambda k: 10 * k), min_size=1, max_size=4))
+    n_nodes = draw(st.integers(1, 64))
+    tx_power_dbm = draw(st.floats(-60.0, 30.0))
+    channel = ChannelConfig(
+        tx_power_dbm=tx_power_dbm,
+        sensitivity_dbm=tx_power_dbm - draw(st.floats(1e-3, 150.0)),
+        shadow_std_db=draw(st.floats(0.0, 20.0)),
+        carrier_hz=draw(st.floats(1e6, 1e11)),
+        pathloss_exponent=draw(st.floats(1.0, 6.0)),
+        pathloss_ref_db=draw(st.floats(0.0, 100.0)),
+        area_m=draw(st.floats(1e-3, 1e5)),
+        velocity_kmph=draw(st.floats(0.0, 500.0)),
+    )
+    return SimConfig(
+        runs=draw(st.integers(1, 10**6)),
+        sim_length_s=draw(st.floats(max(period_ms) / 1000, 1e5)),
+        slot_s=slot_ms / 1000,
+        period_ms=tuple(period_ms),
+        n_nodes=n_nodes,
+        n_active=draw(st.integers(0, n_nodes)),
+        p=draw(_real_lists(0.0, 1.0)),
+        interference_rate=draw(_real_lists(0.0, 1.0)),
+        filter_len=draw(st.integers(0, 50)),
+        ideal_channel=draw(st.booleans()),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        channel=channel,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_configs())
+def test_config_round_trips_through_dict_and_dump(cfg):
+    assert SimConfig.from_dict(cfg.to_dict()) == cfg
+    with tempfile.TemporaryDirectory() as tmp:
+        dumped = str(Path(tmp) / "effective.json")
+        cli._maybe_dump_config(cfg, argparse.Namespace(dump_config=dumped))
+        assert cli.load_config(dumped, [], None) == cfg

@@ -310,6 +310,27 @@ def test_direct_construction_checks_int_and_bool_fields():
             _point_cfg(**{key: value})
 
 
+def test_direct_construction_refuses_other_kinds_and_stays_frozen():
+    for key, value in (
+        ("sim_length_s", "5"),
+        ("slot_s", True),
+        ("p", (None,)),
+        ("p", ([0.3],)),
+        ("interference_rate", ("0.1",)),
+        ("ideal_channel", np.bool_(True)),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            _point_cfg(**{key: value})
+    cfg = _point_cfg(sim_length_s=5, p=0.3, period_ms=[100])
+    assert (cfg.sim_length_s, cfg.p, cfg.period_ms) == (5.0, (0.3,), (100,))
+    assert type(cfg.sim_length_s) is float
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.filter_len = 3
+    assert dataclasses.replace(cfg, filter_len=3).filter_len == 3
+    with pytest.raises(ConfigError, match="filter_len"):
+        dataclasses.replace(cfg, filter_len=-1)
+
+
 def _multi_block_run(velocity_kmph: float, sim_length_s: float = 500.0):
     # 500 s of 100 ms periods: 50000 slots, three whole blocks and a partial one.
     cfg = _point_cfg(
@@ -415,3 +436,46 @@ def test_pattern_matrix_unpacks_the_pattern_bits():
         for row, device_id in zip(matrix, (3, 1, 2)):
             assert ChannelTrace.from_slots(row).bits == _pattern_bits(device_id, 0.4, t_slots)
     assert pattern_matrix((), 0.4, 10).shape == (0, 10)
+
+
+@st.composite
+def _small_fading_cfgs(draw):
+    """Small grids on a fading channel, with at least one active and one silent id."""
+    n_nodes = draw(st.integers(2, 6))
+    rates = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4, unique=True))
+    return SimConfig(
+        runs=draw(st.integers(1, 3)),
+        sim_length_s=draw(st.sampled_from([1.0, 2.5])),
+        period_ms=tuple(draw(st.lists(st.sampled_from([50, 100, 200]), min_size=1, max_size=2, unique=True))),
+        n_nodes=n_nodes,
+        n_active=draw(st.integers(1, n_nodes - 1)),
+        p=tuple(draw(st.lists(st.floats(0.05, 0.6), min_size=1, max_size=2))),
+        interference_rate=tuple(sorted(rates)),
+        filter_len=draw(st.integers(2, 6)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        channel=ChannelConfig(
+            shadow_std_db=draw(st.floats(0.0, 12.0)),
+            velocity_kmph=draw(st.sampled_from([0.0, 3.0, 120.0])),
+        ),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_fading_cfgs())
+def test_raising_the_interference_rate_never_lowers_tp_or_fp(cfg):
+    records = sweep(cfg)
+    n_rates = len(cfg.interference_rate)
+    for start in range(0, len(records), n_rates):
+        cell = records[start : start + n_rates]
+        assert len({(r.t_ms, r.p) for r in cell}) == 1
+        for lower, higher in zip(cell, cell[1:]):
+            assert lower.interference_rate < higher.interference_rate
+            assert higher.tp >= lower.tp and higher.fp >= lower.fp
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_fading_cfgs())
+def test_filtering_never_lowers_tp_rate_or_raises_tn_rate(cfg):
+    for row in compare_filtering(cfg):
+        assert row.tp_rate_on >= row.tp_rate_off
+        assert row.tn_rate_on <= row.tn_rate_off
