@@ -21,22 +21,8 @@ from .channel import (
     doppler_correlation,
     pathloss_db,
 )
-from .fingerprint import (
-    BeepPattern,
-    DeviceId,
-    Prng,
-    derive_seed,
-    generate_pattern,
-    prng_next,
-)
-from .identify import (
-    ChannelTrace,
-    FilterWindow,
-    IdSet,
-    filter_apply,
-    filter_push,
-    identify,
-)
+from .fingerprint import DeviceId, derive_seed, generate_pattern
+from .identify import IdSet, filter_apply, filter_push, identify
 from .montecarlo import (
     ConfigError,
     FilterComparison,
@@ -50,16 +36,12 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeepPattern",
     "ChannelConfig",
-    "ChannelTrace",
     "ConfigError",
     "DeviceId",
     "FilterComparison",
-    "FilterWindow",
     "IdSet",
     "MetricsRecord",
-    "Prng",
     "SimConfig",
     "compare_filtering",
     "coverage_prob",
@@ -74,7 +56,6 @@ __all__ = [
     "optimal_T_exact",
     "optimal_p",
     "pathloss_db",
-    "prng_next",
     "run_once",
     "sweep",
 ]

@@ -27,6 +27,15 @@ def _check_p(p: float) -> None:
         raise ValueError(f"probability must be in [0, 1], got {p}")
 
 
+def _miss_all(n: int, p: float) -> float:
+    """(1-p)^n, the chance that none of n beepers covers a slot, as exp(n * log1p(-p)).
+
+    A float 1 - p loses the low digits of a small p, which the power then
+    raises by n: at n = 10^20 and p = 1/(n+1), (1.0 - p)**n is 1 where e^-1 is right.
+    """
+    return math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
+
+
 def coverage_prob(n: int, p: float, k: int) -> float:
     """Probability that k fixed slots are each covered by at least one of n beepers.
 
@@ -49,7 +58,7 @@ def false_id_prob(n: int, p: float, T: int) -> float:
     _check_p(p)
     if T < 1:
         raise ValueError(f"period length must be >= 1, got {T}")
-    x = p * (1.0 - p) ** n
+    x = p * _miss_all(n, p)
     if x == 0.0:
         return 1.0
     return math.exp(T * math.log1p(-x))
@@ -90,5 +99,5 @@ def optimal_T_exact(n: int, target: float | None = None) -> float:
     if target == 1.0:
         return 0.0
     p_opt = 1.0 / (n + 1)
-    base = p_opt * (1.0 - p_opt) ** n
+    base = p_opt * _miss_all(n, p_opt)
     return math.log(target) / math.log1p(-base)

@@ -5,11 +5,16 @@ numeric identifier: the identifier seeds a SplitMix64 stream, and slot t
 beeps when the t-th 64-bit draw falls below floor(p * 2^64). Transmitter
 and receiver regenerate the identical pattern from the id alone, so no
 pattern ever has to be communicated.
+
+SplitMix64's state after t steps is ``seed + t * gamma`` mod 2^64
+(Steele, Lea & Flood, OOPSLA 2014), so every draw of every id is the
+output function applied to one state, and a roster's patterns are a
+single array expression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -21,30 +26,25 @@ _MIX2 = 0x94D049BB133111EB
 DeviceId = int
 
 
-@dataclass(frozen=True)
-class Prng:
-    """SplitMix64 state. The output stream is a pure function of the seed."""
+def _mix(z):
+    """SplitMix64's output function of a state, on a Python int or a uint64 array.
 
-    state: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.state <= MASK64:
-            raise ValueError(f"PRNG state out of u64 range: {self.state}")
-
-
-def prng_next(prng: Prng) -> tuple[Prng, int]:
-    """Advance a SplitMix64 state and return (new state, output word).
-
-    Bit-exact SplitMix64: every realization of this generator, in any
-    language, produces the same word sequence for the same seed, which is
-    what keeps transmitter and receiver pattern replay in lockstep.
+    The masks are no-ops on uint64 arrays, whose products wrap by
+    themselves, and keep Python ints to 64 bits.
     """
-    state = (prng.state + _GAMMA) & MASK64
-    z = state
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    z = z ^ (z >> 31)
-    return Prng(state), z
+    return z ^ (z >> 31)
+
+
+def _words(ids, count: int) -> np.ndarray:
+    """The first ``count`` SplitMix64 output words seeded by each id, shape (..., count)."""
+    try:
+        seeds = np.asarray(ids, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError(f"device ids must lie in [0, 2^64), got {ids!r}") from None
+    states = seeds[..., None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    return _mix(states)
 
 
 def beep_threshold(p: float) -> int:
@@ -60,59 +60,20 @@ def beep_threshold(p: float) -> int:
     return int(p * 2.0**64)
 
 
-@dataclass(frozen=True)
-class BeepPattern:
-    """One device's beep schedule over a period of ``period_slots`` slots.
+def generate_pattern(ids, p: float, period_slots: int) -> np.ndarray:
+    """The beep patterns the devices with ``ids`` transmit, slot 1 first.
 
-    ``bits`` holds the schedule as a little-endian bit mask: slot t
-    (1-indexed, t in [1, T]) is bit t-1.
-    """
-
-    bits: int
-    period_slots: int
-
-    def __post_init__(self) -> None:
-        if self.period_slots < 1:
-            raise ValueError("period_slots must be >= 1")
-        if not 0 <= self.bits < (1 << self.period_slots):
-            raise ValueError("pattern bits exceed the period length")
-
-    @property
-    def slots(self) -> tuple[int, ...]:
-        """Per-slot beep flags, slot 1 first."""
-        return tuple((self.bits >> t) & 1 for t in range(self.period_slots))
-
-    def beeps_at(self, slot: int) -> bool:
-        """Whether the device beeps at 1-indexed slot ``slot``."""
-        if not 1 <= slot <= self.period_slots:
-            raise ValueError(f"slot {slot} outside [1, {self.period_slots}]")
-        return bool((self.bits >> (slot - 1)) & 1)
-
-    def beep_count(self) -> int:
-        return self.bits.bit_count()
-
-
-def generate_pattern(device_id: DeviceId, p: float, period_slots: int) -> BeepPattern:
-    """Generate the beep pattern a device with ``device_id`` transmits.
-
-    The id seeds the PRNG directly; slot t (1-indexed) beeps iff the t-th
-    draw u satisfies u < floor(p * 2^64). Exactly one draw is consumed per
-    slot, beep or not, so replay stays aligned slot for slot.
+    Each id seeds the PRNG directly; slot t (1-indexed) beeps iff the t-th
+    draw u satisfies u < floor(p * 2^64). A single id gives a bool row of
+    shape (period_slots,), a sequence of n ids an (n, period_slots) matrix.
     """
     if period_slots < 1:
         raise ValueError("period_slots must be >= 1")
     threshold = beep_threshold(p)
-    # Inlined prng_next: this loop dominates pattern-heavy simulations.
-    state = device_id & MASK64
-    bits = 0
-    for t in range(period_slots):
-        state = (state + _GAMMA) & MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        if (z ^ (z >> 31)) < threshold:
-            bits |= 1 << t
-    return BeepPattern(bits=bits, period_slots=period_slots)
+    words = _words(ids, period_slots)
+    if threshold > MASK64:
+        return np.ones(words.shape, dtype=bool)
+    return words < threshold
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -124,6 +85,5 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     """
     state = master_seed & MASK64
     for idx in indices:
-        state = (state + (_GAMMA * (idx + 1))) & MASK64
-        _, state = prng_next(Prng(state))
+        state = _mix((state + _GAMMA * (idx + 2)) & MASK64)
     return state

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
@@ -37,15 +38,9 @@ from .channel import (
     rayleigh_sequence,
     standard_complex_normal,
 )
-from .fingerprint import MASK64, derive_seed
-from .identify import (
-    ChannelTrace,
-    FilterWindow,
-    filter_apply,
-    filter_push,
-    identify,
-    pattern_matrix,
-)
+from .fingerprint import MASK64, derive_seed, generate_pattern
+from .identify import filter_apply, uncovered
+from .identify import filter_push, identify  # noqa: F401 - perfbench/child.py wraps them here
 
 DEFAULT_PERIOD_MS_GRID = (50, 100, 150, 200, 500, 1000)
 DEFAULT_P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -155,10 +150,11 @@ class SimConfig:
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"interference rate {rate} outside [0, 1]")
         for period_ms in self.period_ms:
-            if self.periods_per_run(period_ms) < 1:
+            # Beyond the float range, period_ms would overflow the slot
+            # arithmetic; it is longer than any run anyway.
+            if period_ms > sys.float_info.max or self.periods_per_run(period_ms) < 1:
                 raise ConfigError(
-                    f"simulation length {self.sim_length_s}s is shorter than one "
-                    f"{period_ms}ms period"
+                    f"period_ms {period_ms} is longer than the {self.sim_length_s}s simulation"
                 )
 
     def require_single_point(self) -> None:
@@ -276,7 +272,7 @@ def _draw_layout(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.0, cfg.channel.area_m, size=(cfg.n_nodes, 2))
 
 
-def _realise_run(
+def simulate_run_traces(
     cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Realise one run's channel, which every interference rate shares.
@@ -284,7 +280,7 @@ def _realise_run(
     Returns ``heard``, the slots in which the receiver senses at least one
     active node, and ``draws``, the uniform draw per slot that puts
     interference in the slot when it falls below the rate. Both have shape
-    (n_periods, t_slots).
+    (n_periods, t_slots); a rate's traces are ``heard | (draws < rate)``.
     """
     n_active, t_slots = active_patterns.shape
     rng_intf = np.random.default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE))
@@ -314,64 +310,28 @@ def _realise_run(
     return detected.any(axis=0), draws
 
 
-def simulate_run_traces(
-    cfg: SimConfig,
-    period_ms: int,
-    p: float,
-    interference_rate: float,
-    run_seed: int,
-) -> list[ChannelTrace]:
-    """Simulate one run and return the receiver's per-period union traces.
-
-    The traces pack the same realisation that sweeps score as matrices, for
-    the int-mask reference path (``score_traces``).
-    """
-    t_slots = cfg.slots_per_period(period_ms)
-    patterns = pattern_matrix(cfg.active_ids(), p, t_slots)
-    heard, draws = _realise_run(cfg, patterns, cfg.periods_per_run(period_ms), run_seed)
-    packed = np.packbits(heard | (draws < interference_rate), axis=1, bitorder="little")
-    return [
-        ChannelTrace(bits=int.from_bytes(row.tobytes(), "little"), period_slots=t_slots)
-        for row in packed
-    ]
-
-
-def _or_window(unions: np.ndarray, filter_len: int) -> np.ndarray:
-    """Each period's observation: the OR of the last filter_len union traces.
-
-    The window is partial until filter_len traces have arrived; a filter
-    shorter than 2 leaves the traces as they are.
-    """
-    if filter_len < 2:
-        return unions
-    heard_count = np.cumsum(unions, axis=-2, dtype=np.int32)
-    heard_count[..., filter_len:, :] = (
-        heard_count[..., filter_len:, :] - heard_count[..., :-filter_len, :]
-    )
-    return heard_count > 0
-
-
-def score_unions(
+def score_traces(
     patterns: np.ndarray,
-    unions: np.ndarray,
+    traces: np.ndarray,
     n_active: int,
     filter_lens: Sequence[int],
 ) -> np.ndarray:
-    """Tally (tp, fn, tn, fp) as score_traces does, for each filter length.
+    """Identify after every period and tally (tp, fn, tn, fp) for each filter length.
 
     ``patterns`` holds the roster's beep flags, shape (n_ids, t_slots),
-    active ids first; ``unions`` holds per-period union traces, shape
-    (..., n_periods, t_slots). An id is identified in a period when none of
-    its beep slots went unobserved, so one boolean matrix product of the
-    unobserved slots with the patterns scores every period and id at once.
-    Returns int64 counts of shape (..., len(filter_lens), 4).
+    active ids first; ``traces`` holds per-period union traces, shape
+    (..., n_periods, t_slots). With a filter length of 2 or more, each
+    period is scored on the OR of the window accumulated so far, so every
+    period yields one identification event. Returns int64 counts of shape
+    (..., len(filter_lens), 4).
     """
-    observed = np.stack([_or_window(unions, m) for m in filter_lens], axis=-3)
-    # Boolean rather than float: a float product goes through BLAS, whose
-    # worker threads spin on a second core during long runs.
-    missed = ~observed @ patterns.T
-    n_periods = unions.shape[-2]
-    accepted = n_periods - missed.sum(axis=-2, dtype=np.int64)
+    # A window under 2 leaves the traces as they are; skipping the call for
+    # it keeps the benchmark's filter_apply span to filtered scoring.
+    observed = np.stack(
+        [filter_apply(traces, m) if m >= 2 else traces for m in filter_lens], axis=-3
+    )
+    n_periods = traces.shape[-2]
+    accepted = n_periods - uncovered(observed, patterns).sum(axis=-2, dtype=np.int64)
     hits = accepted[..., :n_active].sum(axis=-1)
     false_hits = accepted[..., n_active:].sum(axis=-1)
     n_silent = len(patterns) - n_active
@@ -379,44 +339,6 @@ def score_unions(
         [hits, n_active * n_periods - hits, n_silent * n_periods - false_hits, false_hits],
         axis=-1,
     )
-
-
-def score_traces(
-    traces: Sequence[ChannelTrace],
-    roster: Sequence[int],
-    active_ids: Sequence[int],
-    p: float,
-    filter_len: int,
-) -> tuple[int, int, int, int]:
-    """Identify after every period and tally (tp, fn, tn, fp).
-
-    With filter_len >= 2, each period is scored on the OR of the window
-    accumulated so far (partial until filter_len traces arrive), so every
-    period yields one identification event and a filtered event always
-    dominates its unfiltered counterpart slot-wise.
-    """
-    roster = tuple(roster)
-    active = frozenset(active_ids)
-    n_active = len(active)
-    n_silent = len(roster) - n_active
-    t_slots = traces[0].period_slots if traces else 0
-
-    tp = fn = tn = fp = 0
-    window = FilterWindow(window_len=max(filter_len, 1))
-    for trace in traces:
-        if filter_len >= 2:
-            window = filter_push(window, trace)
-            observed = filter_apply(window)
-        else:
-            observed = trace
-        result = identify(observed, roster, p, t_slots)
-        hits = sum(1 for device_id in result.identified if device_id in active)
-        false_hits = len(result.identified) - hits
-        tp += hits
-        fn += n_active - hits
-        fp += false_hits
-        tn += n_silent - false_hits
-    return tp, fn, tn, fp
 
 
 def _point_counts(task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]]) -> np.ndarray:
@@ -428,13 +350,13 @@ def _point_counts(task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]]
     """
     cfg, ti, pi, run_seeds, filter_lens = task
     period_ms = cfg.period_ms[ti]
-    patterns = pattern_matrix(cfg.roster(), cfg.p[pi], cfg.slots_per_period(period_ms))
+    patterns = generate_pattern(cfg.roster(), cfg.p[pi], cfg.slots_per_period(period_ms))
     n_periods = cfg.periods_per_run(period_ms)
     rates = np.array(cfg.interference_rate)[:, None, None]
     counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
     for run_seed in run_seeds:
-        heard, draws = _realise_run(cfg, patterns[: cfg.n_active], n_periods, run_seed)
-        counts += score_unions(patterns, heard | (draws < rates), cfg.n_active, filter_lens)
+        heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], n_periods, run_seed)
+        counts += score_traces(patterns, heard | (draws < rates), cfg.n_active, filter_lens)
         # Freed before the next run realises its channel: holding them across
         # the realisation fragments the heap and raises peak memory.
         del heard, draws

@@ -1,38 +1,37 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately written against different machinery than
-the package (numpy uint64 wraparound instead of Python int masking, a
-direct Taylor series instead of scipy, whole-array complex arithmetic
-instead of blocked float pairs, a per-node, per-slot scalar radio instead
-of the array link budget) so the two sides of each check cannot share a
-bug.
+the package (a Python-int SplitMix64 stepped word by word and a scorer on
+int bit masks instead of uint64 and bool arrays, a direct Taylor series
+instead of scipy, whole-array complex arithmetic instead of blocked float
+pairs, a per-node, per-slot scalar radio instead of the array link budget)
+so the two sides of each check cannot share a bug.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+MASK64 = (1 << 64) - 1
 
 
 def ref_splitmix64(seed: int, count: int) -> list[int]:
-    """SplitMix64 output words via numpy uint64 arithmetic."""
-    state = np.uint64(seed & ((1 << 64) - 1))
+    """SplitMix64 output words, stepping a Python-int state one word at a time."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed out of u64 range: {seed}")
+    state = seed
     out = []
-    with np.errstate(over="ignore"):
-        for _ in range(count):
-            state = state + _GAMMA
-            z = state
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            z = z ^ (z >> np.uint64(31))
-            out.append(int(z))
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
     return out
 
 
@@ -44,11 +43,42 @@ def ref_pattern_slots(device_id: int, p: float, period_slots: int) -> list[int]:
 
 
 def ref_pattern_bits(device_id: int, p: float, period_slots: int) -> int:
-    bits = 0
-    for t, flag in enumerate(ref_pattern_slots(device_id, p, period_slots)):
-        if flag:
-            bits |= 1 << t
-    return bits
+    """The pattern as a little-endian int mask: slot t (1-indexed) is bit t-1."""
+    return _bits(ref_pattern_slots(device_id, p, period_slots))
+
+
+def _bits(flags) -> int:
+    return sum(1 << t for t, flag in enumerate(flags) if flag)
+
+
+def ref_score_traces(
+    traces, roster, active_ids, p: float, filter_len: int
+) -> tuple[int, int, int, int]:
+    """Identify after every period on int bit masks and tally (tp, fn, tn, fp).
+
+    ``traces`` is a sequence of per-period rows of slot flags, slot 1 first.
+    With filter_len >= 2, each period is scored on the OR of the last
+    filter_len traces (partial until that many have arrived). An id is
+    accepted when its pattern has no bit outside the observation.
+    """
+    active = frozenset(active_ids)
+    patterns = {}
+    window = deque(maxlen=max(filter_len, 1))
+    tp = fn = tn = fp = 0
+    for row in traces:
+        window.append(_bits(row))
+        observed = 0
+        for bits in window:
+            observed |= bits
+        for device_id in roster:
+            if device_id not in patterns:
+                patterns[device_id] = ref_pattern_bits(device_id, p, len(row))
+            accepted = patterns[device_id] & ~observed == 0
+            if device_id in active:
+                tp, fn = tp + accepted, fn + (not accepted)
+            else:
+                fp, tn = fp + accepted, tn + (not accepted)
+    return tp, fn, tn, fp
 
 
 def bessel_j0_series(x: float) -> float:

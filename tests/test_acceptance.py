@@ -22,11 +22,10 @@ from beepid.montecarlo import (
     SimConfig,
     compare_filtering,
     run_seed_for,
-    score_traces,
     simulate_run_traces,
     sweep,
 )
-from oracles import bessel_j0_series
+from oracles import bessel_j0_series, ref_pattern_slots, ref_score_traces
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -146,13 +145,15 @@ def test_acceptance_5_interference_direction():
     tn_t100 = {0.0: 0, 0.2: 0}
     events_t100 = 0
     for ti, t_ms in enumerate(cfg.period_ms):
+        t_slots = cfg.slots_per_period(t_ms)
         for pi, p in enumerate(cfg.p):
+            active = np.array([ref_pattern_slots(i, p, t_slots) for i in cfg.active_ids()], bool)
             for run_index in range(cfg.runs):
                 seed = run_seed_for(cfg, ti, pi, run_index)
-                quiet = simulate_run_traces(cfg, t_ms, p, 0.0, seed)
-                noisy = simulate_run_traces(cfg, t_ms, p, 0.2, seed)
-                cq = score_traces(quiet, cfg.roster(), cfg.active_ids(), p, 0)
-                cn = score_traces(noisy, cfg.roster(), cfg.active_ids(), p, 0)
+                heard, draws = simulate_run_traces(cfg, active, cfg.periods_per_run(t_ms), seed)
+                quiet, noisy = heard | (draws < 0.0), heard | (draws < 0.2)
+                cq = ref_score_traces(quiet, cfg.roster(), cfg.active_ids(), p, 0)
+                cn = ref_score_traces(noisy, cfg.roster(), cfg.active_ids(), p, 0)
                 if cn[0] < cq[0] or cn[2] > cq[2]:
                     violations += 1
                 if t_ms == 100:

@@ -1,6 +1,7 @@
 """Closed forms against Monte-Carlo, grid-search, and summation oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from beepid.analysis import (
     optimal_p,
 )
 from beepid.fingerprint import generate_pattern
-from beepid.identify import ChannelTrace, identify
+from beepid.identify import identify
 
 
 def test_coverage_trivial_cases():
@@ -58,11 +59,8 @@ def test_false_id_against_pattern_level_simulation():
     ids = rng.integers(0, 2**64, size=(trials, n + 1), dtype=np.uint64)
     hits = 0
     for row in ids:
-        union = 0
-        for device_id in row[:n]:
-            union |= generate_pattern(int(device_id), p, t).bits
-        trace = ChannelTrace(bits=union, period_slots=t)
-        if int(row[n]) in identify(trace, [int(row[n])], p, t):
+        union = generate_pattern(row[:n], p, t).any(axis=0)
+        if int(row[n]) in identify(union, [int(row[n])], p):
             hits += 1
     expected = false_id_prob(n, p, t)
     se = math.sqrt(expected * (1 - expected) / trials)
@@ -133,6 +131,29 @@ def test_optimal_T_exact_brackets_the_target():
         assert false_id_prob(n, p_opt, math.ceil(v)) <= 1.0 / n < false_id_prob(
             n, p_opt, math.floor(v)
         )
+
+
+def _exact_T(n: int) -> Decimal:
+    """optimal_T_exact's period at the default target 1/n, in 50-digit decimals."""
+    p = 1 / Decimal(n + 1)
+    base = p * (1 - p) ** n
+    return (1 / Decimal(n)).ln() / (1 - base).ln()
+
+
+def test_exact_period_and_false_id_match_decimal_arithmetic():
+    # (1 - p)^n as exp(n log1p(-p)): a float 1 - p drops the low digits of a
+    # small p, which the power then raises by n (off by a factor e at 10^20).
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for n in (10, 10**6, 10**9, 10**12, 10**20):
+            exact = _exact_T(n)
+            assert abs(Decimal(optimal_T_exact(n)) / exact - 1) <= Decimal("1e-14"), n
+            # T about 1/x puts the false-identification probability near 1/e.
+            p = optimal_p(n)
+            x = Decimal(p) * (1 - Decimal(p)) ** n
+            T = int(1 / x)
+            expected = (1 - x) ** T
+            assert abs(Decimal(false_id_prob(n, p, T)) / expected - 1) <= Decimal("1e-14"), n
 
 
 def test_optimal_T_custom_target():

@@ -19,8 +19,8 @@ from beepid.channel import (
     rx_power_dbm,
     standard_complex_normal,
 )
-from beepid.identify import ChannelTrace, pattern_matrix
-from beepid.montecarlo import SimConfig, _realise_run, simulate_run_traces
+from beepid.fingerprint import generate_pattern
+from beepid.montecarlo import SimConfig, simulate_run_traces
 from oracles import (
     FIRST_J0_ZERO,
     NodeRadio,
@@ -212,19 +212,20 @@ def test_detect_slot_silence():
     # are heard only in the slots they beep in.
     cfg = _run_cfg(area_m=2.0, shadow_std_db=0.0)
     silent = np.zeros((2, 10), dtype=bool)
-    heard, _ = _realise_run(cfg, silent, 20, 1)
+    heard, _ = simulate_run_traces(cfg, silent, 20, 1)
     assert not heard.any()
-    heard, _ = _realise_run(cfg, ~silent, 20, 1)
+    heard, _ = simulate_run_traces(cfg, ~silent, 20, 1)
     assert heard.all()
 
 
 def test_detect_slot_interference_saturates():
     # p = 0: nobody beeps, yet interference at rate 1 fills every slot.
     cfg = _run_cfg(n_nodes=3)
+    silent = generate_pattern(cfg.active_ids(), 0.0, 10)
     for seed in (1, 2):
-        for trace in simulate_run_traces(cfg, 100, 0.0, 1.0, seed):
-            assert trace.bits == (1 << trace.period_slots) - 1
-        assert all(t.bits == 0 for t in simulate_run_traces(cfg, 100, 0.0, 0.0, seed))
+        heard, draws = simulate_run_traces(cfg, silent, 20, seed)
+        assert (heard | (draws < 1.0)).all()
+        assert not (heard | (draws < 0.0)).any()
 
 
 def test_detect_slot_link_budget_example():
@@ -264,12 +265,12 @@ def test_zero_gain_is_never_detected():
 def test_union_monotone_in_beepers():
     # Same draws, second node silenced or beeping: adding a beeper only adds slots.
     cfg = _run_cfg()
-    both = pattern_matrix((1, 2), 0.3, 10)
+    both = generate_pattern((1, 2), 0.3, 10)
     one = both.copy()
     one[1] = False
     for seed in range(4):
-        heard_one, _ = _realise_run(cfg, one, 20, seed)
-        heard_both, _ = _realise_run(cfg, both, 20, seed)
+        heard_one, _ = simulate_run_traces(cfg, one, 20, seed)
+        heard_both, _ = simulate_run_traces(cfg, both, 20, seed)
         assert not (heard_one & ~heard_both).any()
 
 
@@ -296,10 +297,11 @@ def test_slot_outcome_invariant_holds():
     # fades erase some beeps, and each slot's union is its detections or
     # its interference.
     cfg = _run_cfg(n_nodes=5)
-    patterns = pattern_matrix(cfg.active_ids(), 0.3, 10)
+    patterns = generate_pattern(cfg.active_ids(), 0.3, 10)
     erased = 0
     for seed in (1, 7):
-        traces = simulate_run_traces(cfg, 100, 0.3, 0.1, seed)
+        heard, draws = simulate_run_traces(cfg, patterns, cfg.periods_per_run(100), seed)
+        traces = heard | (draws < 0.1)
         periods = ref_slot_by_slot_run(cfg, patterns, cfg.periods_per_run(100), seed, 0.1)
         assert len(traces) == len(periods)
         for trace, outcomes in zip(traces, periods):
@@ -307,7 +309,7 @@ def test_slot_outcome_invariant_holds():
                 union = any(outcome.per_node_detected) or outcome.interference_on
                 assert outcome.union_bit == int(union)
                 erased += int((patterns[:, t] > np.array(outcome.per_node_detected)).sum())
-            assert trace == ChannelTrace.from_slots(o.union_bit for o in outcomes)
+            assert trace.tolist() == [bool(o.union_bit) for o in outcomes]
     assert erased > 0
 
 

@@ -59,6 +59,14 @@ def test_analyze_matches_independent_root_solve(capsys):
     assert reported == pytest.approx(root, abs=1e-9)
 
 
+def test_analyze_exact_period_at_a_huge_station_count(capsys):
+    # (1 - p)^n with p = 1/(n + 1) is about 1/e here; a float 1 - p rounds
+    # to 1 and made the period e times too short (4.6e21).
+    assert main(["analyze", "--n", "100000000000000000000"]) == EXIT_OK
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("optimal_T_exact("))
+    assert float(line.split("= ")[-1]) == pytest.approx(1.2518e22, rel=1e-4)
+
+
 def test_analyze_rejects_bad_domain(capsys):
     assert main(["analyze", "--n", "0"]) == EXIT_CONFIG
     assert main(["analyze", "--n", "5", "--p", "2.0", "--T", "10"]) == EXIT_CONFIG
@@ -196,6 +204,13 @@ def test_unknown_override_key(config_path, capsys):
 def test_invalid_override_value(config_path, capsys):
     code = main(["sweep", "--config", config_path, "--set", "p=high"])
     assert code == EXIT_CONFIG
+
+
+def test_period_beyond_the_float_range_is_a_config_error(config_path, capsys):
+    period = "1" + "0" * 400
+    assert main(["simulate", "--config", config_path, "--set", f"period_ms={period}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "period_ms" in err
 
 
 def test_runtime_error_exit_code(config_path, tmp_path):
@@ -357,3 +372,28 @@ def test_config_round_trips_through_dict_and_dump(cfg):
         dumped = str(Path(tmp) / "effective.json")
         cli._maybe_dump_config(cfg, argparse.Namespace(dump_config=dumped))
         assert cli.load_config(dumped, [], None) == cfg
+
+
+def _set_text(value, trailing_comma: bool) -> str:
+    """A config value as ``--set`` spells it: true/false, a number, or a comma list."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ",".join(map(repr, value)) + ("," if trailing_comma else "")
+    return repr(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_configs(), st.booleans())
+def test_set_overrides_round_trip_through_their_text(cfg, trailing_comma):
+    # Every field, channel constants included, given only as --set text over
+    # an empty config file. A lone grid value loads as a one-point grid,
+    # with or without a trailing comma.
+    overrides = [f"{key}={_set_text(v, trailing_comma)}" for key, v in cfg.to_dict().items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        empty = Path(tmp) / "empty.json"
+        empty.write_text("{}")
+        loaded = cli.load_config(str(empty), overrides, None)
+    for key, value in cfg.to_dict().items():
+        assert loaded.to_dict()[key] == value, key
+    assert loaded == cfg

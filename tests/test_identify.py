@@ -4,30 +4,31 @@ import numpy as np
 import pytest
 
 from beepid.fingerprint import generate_pattern
-from beepid.identify import (
-    ChannelTrace,
-    FilterWindow,
-    IdSet,
-    filter_apply,
-    filter_push,
-    identify,
-)
-from oracles import ref_pattern_slots
+from beepid.identify import IdSet, filter_apply, filter_push, identify, uncovered
+from oracles import ref_pattern_bits, ref_pattern_slots
 
 
-def _full_trace(t: int) -> ChannelTrace:
-    return ChannelTrace(bits=(1 << t) - 1, period_slots=t)
+def _trace(bits: int, t: int) -> np.ndarray:
+    """A trace from a little-endian bit mask, slot 1 in bit 0."""
+    return np.array([(bits >> k) & 1 for k in range(t)], dtype=bool)
+
+
+def _full_trace(t: int) -> np.ndarray:
+    return np.ones(t, dtype=bool)
+
+
+def _empty_window(t: int) -> np.ndarray:
+    return np.zeros((0, t), dtype=bool)
 
 
 def test_all_ones_trace_identifies_everyone():
-    result = identify(_full_trace(32), [3, 1, 4, 1_000_000], 0.4, 32)
+    result = identify(_full_trace(32), [3, 1, 4, 1_000_000], 0.4)
     assert result.identified == (3, 1, 4, 1_000_000)
 
 
 def test_own_pattern_identifies_itself():
     pattern = generate_pattern(5, 0.5, 64)
-    trace = ChannelTrace(bits=pattern.bits, period_slots=64)
-    assert identify(trace, [5], 0.5, 64).identified == (5,)
+    assert identify(pattern, [5], 0.5).identified == (5,)
 
 
 def test_union_of_two_against_three_candidates():
@@ -37,23 +38,25 @@ def test_union_of_two_against_three_candidates():
         a | b
         for a, b in zip(ref_pattern_slots(1, p, t), ref_pattern_slots(2, p, t))
     ]
-    trace = ChannelTrace.from_slots(union)
     third_covered = all(
         not beep or seen for beep, seen in zip(ref_pattern_slots(3, p, t), union)
     )
-    result = identify(trace, [1, 2, 3], p, t)
+    result = identify(union, [1, 2, 3], p)
     assert 1 in result and 2 in result
     assert (3 in result) == third_covered
 
 
 def test_candidate_order_is_preserved():
-    result = identify(_full_trace(8), [9, 2, 7], 0.2, 8)
+    result = identify(_full_trace(8), [9, 2, 7], 0.2)
     assert result.identified == (9, 2, 7)
 
 
 def test_trace_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        identify(_full_trace(8), [1], 0.5, 16)
+        uncovered(_full_trace(8), generate_pattern([1], 0.5, 16))
+    # identify scores one trace; a stack of them goes to the array scorer.
+    with pytest.raises(ValueError):
+        identify(np.ones((2, 8), dtype=bool), [1], 0.5)
 
 
 def test_idset_requires_subset():
@@ -68,93 +71,95 @@ def test_adding_energy_never_removes_ids():
     for _ in range(50):
         bits = int(rng.integers(0, 1 << t))
         extra = bits | int(rng.integers(0, 1 << t))
-        before = set(identify(ChannelTrace(bits, t), candidates, p, t).identified)
-        after = set(identify(ChannelTrace(extra, t), candidates, p, t).identified)
-        assert before <= after
+        before = identify(_trace(bits, t), candidates, p).identified
+        after = identify(_trace(extra, t), candidates, p).identified
+        assert set(before) <= set(after)
+        # The int-mask rule: accepted iff the pattern has no bit outside the trace.
+        assert before == tuple(c for c in candidates if ref_pattern_bits(c, p, t) & ~bits == 0)
 
 
 def test_all_zero_pattern_is_always_identified():
     # p = 0 gives an empty pattern: vacuously covered by any trace.
-    silent_trace = ChannelTrace(bits=0, period_slots=12)
-    assert identify(silent_trace, [8], 0.0, 12).identified == (8,)
+    assert identify(np.zeros(12, dtype=bool), [8], 0.0).identified == (8,)
 
 
 def test_lossless_channel_has_no_false_negatives():
     t, p = 40, 0.3
     active = [2, 4, 6, 8]
-    union = 0
-    for device_id in active:
-        union |= generate_pattern(device_id, p, t).bits
-    result = identify(ChannelTrace(union, t), active + [5, 7], p, t)
+    union = generate_pattern(active, p, t).any(axis=0)
+    result = identify(union, active + [5, 7], p)
     assert set(active) <= set(result.identified)
 
 
 def test_filter_push_grows_then_slides():
-    w = FilterWindow(window_len=3)
-    t1 = ChannelTrace(0b0001, 4)
-    t2 = ChannelTrace(0b0010, 4)
-    t3 = ChannelTrace(0b0100, 4)
-    t4 = ChannelTrace(0b1000, 4)
-    w = filter_push(w, t1)
-    assert w.recent_traces == (t1,)
-    w = filter_push(w, t2)
-    w = filter_push(w, t3)
-    assert w.recent_traces == (t1, t2, t3)
-    w = filter_push(w, t4)
-    assert w.recent_traces == (t2, t3, t4)
+    t1, t2, t3, t4 = (_trace(1 << k, 4) for k in range(4))
+    w = filter_push(_empty_window(4), t1, 3)
+    assert np.array_equal(w, [t1])
+    w = filter_push(w, t2, 3)
+    w = filter_push(w, t3, 3)
+    assert np.array_equal(w, [t1, t2, t3])
+    w = filter_push(w, t4, 3)
+    assert np.array_equal(w, [t2, t3, t4])
 
 
 def test_filter_push_rejects_length_mismatch():
-    w = filter_push(FilterWindow(window_len=2), ChannelTrace(0b01, 2))
+    w = filter_push(_empty_window(2), _trace(0b01, 2), 2)
     with pytest.raises(ValueError):
-        filter_push(w, ChannelTrace(0b001, 3))
+        filter_push(w, _trace(0b001, 3), 2)
+
+
+def test_filter_push_rejects_empty_window():
+    for filter_len in (0, -1):
+        with pytest.raises(ValueError, match="filter_len"):
+            filter_push(_empty_window(4), _full_trace(4), filter_len)
 
 
 def test_filter_apply_is_bitwise_or():
-    w = FilterWindow(window_len=2, recent_traces=(ChannelTrace(0b0101, 4), ChannelTrace(0b0011, 4)))
-    assert filter_apply(w).bits == 0b0111
+    window = np.array([_trace(0b0101, 4), _trace(0b0011, 4)])
+    assert np.array_equal(filter_apply(window, 2)[-1], _trace(0b0111, 4))
 
 
 def test_filter_apply_identity_on_singleton():
-    trace = ChannelTrace(0b1010, 4)
-    w = FilterWindow(window_len=4, recent_traces=(trace,))
-    assert filter_apply(w) == trace
-
-
-def test_filter_apply_rejects_empty_window():
-    with pytest.raises(ValueError):
-        filter_apply(FilterWindow(window_len=3))
+    window = _trace(0b1010, 4)[None]
+    assert np.array_equal(filter_apply(window, 4), window)
+    # A window shorter than 2 leaves every trace as it is.
+    traces = np.random.default_rng(3).random((5, 4)) < 0.5
+    for filter_len in (0, 1):
+        assert np.array_equal(filter_apply(traces, filter_len), traces)
 
 
 def test_filtered_popcount_dominates_members():
     rng = np.random.default_rng(5)
     for _ in range(25):
-        traces = [ChannelTrace(int(rng.integers(0, 1 << 20)), 20) for _ in range(4)]
-        w = FilterWindow(window_len=4, recent_traces=tuple(traces))
-        combined = filter_apply(w)
-        assert all(combined.popcount() >= t.popcount() for t in traces)
+        masks = [int(rng.integers(0, 1 << 20)) for _ in range(4)]
+        combined = filter_apply(np.array([_trace(m, 20) for m in masks]), 4)[-1]
+        assert all(combined.sum() >= bin(m).count("1") for m in masks)
         brute = 0
-        for t in traces:
-            brute |= t.bits
-        assert combined.bits == brute
+        for m in masks:
+            brute |= m
+        assert np.array_equal(combined, _trace(brute, 20))
 
 
 def test_single_detection_in_window_survives_filtering():
-    # Four periods; a slot detected in only one of them reads 1 after the OR.
-    quiet = ChannelTrace(0, 8)
-    once = ChannelTrace(0b0010000, 8)
-    w = FilterWindow(window_len=4)
-    for trace in (quiet, once, quiet, quiet):
-        w = filter_push(w, trace)
-    assert filter_apply(w).observed[4] == 1
+    # A slot detected in one period reads 1 after the OR for the four
+    # periods whose window holds that period, and 0 outside them.
+    quiet = np.zeros(8, dtype=bool)
+    once = _trace(0b0010000, 8)
+    traces = np.array([quiet, once, quiet, quiet, quiet, quiet])
+    offline = filter_apply(traces, 4)
+    assert offline[:, 4].tolist() == [False, True, True, True, True, False]
+    # The online window yields the same observation period by period.
+    w = _empty_window(8)
+    for period, trace in enumerate(traces):
+        w = filter_push(w, trace, 4)
+        assert np.array_equal(filter_apply(w, 4)[-1], offline[period])
 
 
 def test_filtering_never_decreases_identified_set():
     rng = np.random.default_rng(17)
     t, p = 24, 0.25
     candidates = list(range(1, 10))
-    traces = [ChannelTrace(int(rng.integers(0, 1 << t)), t) for _ in range(6)]
-    w = FilterWindow(window_len=6, recent_traces=tuple(traces))
-    filtered_ids = set(identify(filter_apply(w), candidates, p, t).identified)
+    traces = rng.random((6, t)) < 0.5
+    filtered_ids = set(identify(filter_apply(traces, 6)[-1], candidates, p).identified)
     for trace in traces:
-        assert set(identify(trace, candidates, p, t).identified) <= filtered_ids
+        assert set(identify(trace, candidates, p).identified) <= filtered_ids

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import ref_realise_run
+from oracles import ref_pattern_bits, ref_pattern_slots, ref_realise_run, ref_score_traces
 
 import beepid.montecarlo as montecarlo
 from beepid.channel import ChannelConfig, link_budget_dbm
-from beepid.identify import ChannelTrace, _pattern_bits, pattern_matrix
+from beepid.fingerprint import generate_pattern
 from beepid.montecarlo import (
     _BLOCK_SLOTS,
     ConfigError,
@@ -21,12 +21,10 @@ from beepid.montecarlo import (
     MetricsRecord,
     SimConfig,
     _draw_layout,
-    _realise_run,
     compare_filtering,
     run_once,
     run_seed_for,
     score_traces,
-    score_unions,
     simulate_run_traces,
     sweep,
 )
@@ -59,7 +57,7 @@ def test_no_transmitters_and_no_interference():
     # all-zero get (vacuously) identified.
     t_slots = cfg.slots_per_period(100)
     zero_patterns = sum(
-        1 for device_id in cfg.roster() if _pattern_bits(device_id, 0.5, t_slots) == 0
+        1 for device_id in cfg.roster() if ref_pattern_bits(device_id, 0.5, t_slots) == 0
     )
     assert record.fp == zero_patterns * record.events
     if zero_patterns == 0:
@@ -151,13 +149,15 @@ def test_filter_length_one_changes_nothing():
 def test_interference_only_adds_detections():
     # Same run seed, IR raised 0 -> 0.2: TP cannot drop, TN cannot rise.
     cfg = _point_cfg(runs=1)
+    patterns = generate_pattern(cfg.roster(), 0.3, 10)
     for run_index in range(8):
         seed = run_seed_for(cfg, 0, 0, run_index)
-        quiet = simulate_run_traces(cfg, 100, 0.3, 0.0, seed)
-        noisy = simulate_run_traces(cfg, 100, 0.3, 0.2, seed)
-        assert all(q.bits & ~n.bits == 0 for q, n in zip(quiet, noisy))
-        tp_q, _, tn_q, _ = score_traces(quiet, cfg.roster(), cfg.active_ids(), 0.3, 0)
-        tp_n, _, tn_n, _ = score_traces(noisy, cfg.roster(), cfg.active_ids(), 0.3, 0)
+        heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], 50, seed)
+        quiet, noisy = heard | (draws < 0.0), heard | (draws < 0.2)
+        assert not (quiet & ~noisy).any()
+        (tp_q, _, tn_q, _), (tp_n, _, tn_n, _) = score_traces(
+            patterns, np.stack([quiet, noisy]), cfg.n_active, (0,)
+        )[:, 0]
         assert tp_n >= tp_q
         assert tn_n <= tn_q
 
@@ -167,9 +167,11 @@ def test_interference_fraction_matches_rate():
     rate = 0.3
     ones = slots = 0
     for run_index in range(10):
-        traces = simulate_run_traces(cfg, 100, 0.3, rate, run_seed_for(cfg, 0, 0, run_index))
-        ones += sum(t.popcount() for t in traces)
-        slots += sum(t.period_slots for t in traces)
+        seed = run_seed_for(cfg, 0, 0, run_index)
+        heard, draws = simulate_run_traces(cfg, np.zeros((0, 10), dtype=bool), 50, seed)
+        traces = heard | (draws < rate)
+        ones += int(traces.sum())
+        slots += traces.size
     sigma = math.sqrt(rate * (1 - rate) / slots)
     assert abs(ones / slots - rate) <= 3 * sigma
 
@@ -262,9 +264,9 @@ def test_channel_slot_duration_follows_sim_config():
     # oracle reads too; at 3 km/h it is 0.989 for 5 ms slots, 0.957 for 10 ms.
     cfg = _point_cfg(slot_s=0.005, period_ms=(100,))
     assert cfg.slots_per_period(100) == 20
-    patterns = pattern_matrix(cfg.active_ids(), 0.3, 20)
+    patterns = generate_pattern(cfg.active_ids(), 0.3, 20)
     for run_seed in (1, 2):
-        heard, draws = _realise_run(cfg, patterns, 50, run_seed)
+        heard, draws = simulate_run_traces(cfg, patterns, 50, run_seed)
         ref_heard, ref_draws = ref_realise_run(cfg, patterns, 50, run_seed)
         assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
 
@@ -337,7 +339,7 @@ def _multi_block_run(velocity_kmph: float, sim_length_s: float = 500.0):
         sim_length_s=sim_length_s, channel=ChannelConfig(velocity_kmph=velocity_kmph)
     )
     n_periods = cfg.periods_per_run(100)
-    patterns = pattern_matrix(cfg.active_ids(), 0.3, cfg.slots_per_period(100))
+    patterns = generate_pattern(cfg.active_ids(), 0.3, cfg.slots_per_period(100))
     n_slots = n_periods * patterns.shape[1]
     assert n_slots > 3 * _BLOCK_SLOTS and n_slots % _BLOCK_SLOTS
     return cfg, patterns, n_periods, n_slots
@@ -347,7 +349,7 @@ def _multi_block_run(velocity_kmph: float, sim_length_s: float = 500.0):
 def test_blocked_realisation_matches_single_block_oracle(velocity_kmph):
     cfg, patterns, n_periods, _ = _multi_block_run(velocity_kmph)
     for run_seed in (1, 2**64 - 1):
-        heard, draws = _realise_run(cfg, patterns, n_periods, run_seed)
+        heard, draws = simulate_run_traces(cfg, patterns, n_periods, run_seed)
         ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
         assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
 
@@ -358,11 +360,16 @@ def test_realisation_memory_is_bounded_per_node_slot():
     cfg, patterns, n_periods, n_slots = _multi_block_run(3.0, sim_length_s=3600.0)
     tracemalloc.start()
     try:
-        _realise_run(cfg, patterns, n_periods, 1)
+        simulate_run_traces(cfg, patterns, n_periods, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 32 * cfg.n_active * n_slots
+
+
+def _ref_patterns(ids, p: float, t_slots: int) -> np.ndarray:
+    rows = [ref_pattern_slots(i, p, t_slots) for i in ids]
+    return np.array(rows, dtype=bool).reshape(-1, t_slots)
 
 
 @st.composite
@@ -374,7 +381,7 @@ def _union_cases(draw):
     union = draw(arrays(np.bool_, (periods, t_slots)))
     # OR whole patterns into some periods, so that acceptance is common too.
     covered = draw(arrays(np.bool_, (periods, n_nodes)))
-    union |= (covered[:, :, None] & pattern_matrix(range(1, n_nodes + 1), p, t_slots)).any(axis=1)
+    union |= (covered[:, :, None] & _ref_patterns(range(1, n_nodes + 1), p, t_slots)).any(axis=1)
     return n_nodes, p, union, draw(st.integers(0, n_nodes)), draw(st.integers(0, periods + 2))
 
 
@@ -383,26 +390,33 @@ def _union_cases(draw):
 def test_matrix_scorer_matches_reference_scorer(case):
     n_nodes, p, union, n_active, filter_len = case
     roster = tuple(range(1, n_nodes + 1))
-    traces = [ChannelTrace.from_slots(row) for row in union]
-    patterns = pattern_matrix(roster, p, union.shape[1])
-    counts = score_unions(patterns, union, n_active, (0, filter_len))
-    assert tuple(counts[0]) == score_traces(traces, roster, roster[:n_active], p, 0)
-    assert tuple(counts[1]) == score_traces(traces, roster, roster[:n_active], p, filter_len)
+    patterns = generate_pattern(roster, p, union.shape[1])
+    counts = score_traces(patterns, union, n_active, (0, filter_len))
+    assert tuple(counts[0]) == ref_score_traces(union, roster, roster[:n_active], p, 0)
+    assert tuple(counts[1]) == ref_score_traces(union, roster, roster[:n_active], p, filter_len)
 
 
 def _reference_records(cfg: SimConfig, filter_len: int) -> list[MetricsRecord]:
-    """Per-point records composed from the int-mask path, one simulated run at a time."""
+    """Per-point records from the oracles alone: reference patterns, the
+    whole-array realisation and the int-mask scorer, one run at a time."""
     records = []
     for ti, t_ms in enumerate(cfg.period_ms):
+        n_periods = cfg.periods_per_run(t_ms)
         for pi, p in enumerate(cfg.p):
+            active = _ref_patterns(cfg.active_ids(), p, cfg.slots_per_period(t_ms))
+            runs = [
+                ref_realise_run(cfg, active, n_periods, run_seed_for(cfg, ti, pi, r))
+                for r in range(cfg.runs)
+            ]
             for rate in cfg.interference_rate:
                 totals = np.zeros(4, dtype=int)
-                for run_index in range(cfg.runs):
-                    seed = run_seed_for(cfg, ti, pi, run_index)
-                    traces = simulate_run_traces(cfg, t_ms, p, rate, seed)
-                    totals += score_traces(traces, cfg.roster(), cfg.active_ids(), p, filter_len)
+                for heard, draws in runs:
+                    traces = heard | (draws < rate)
+                    totals += ref_score_traces(
+                        traces, cfg.roster(), cfg.active_ids(), p, filter_len
+                    )
                 tp, fn, tn, fp = (int(c) for c in totals)
-                events = cfg.periods_per_run(t_ms) * cfg.runs
+                events = n_periods * cfg.runs
                 records.append(
                     MetricsRecord(t_ms, p, rate, filter_len, cfg.runs, events, tp, fn, tn, fp)
                 )
@@ -427,15 +441,6 @@ def test_grid_matches_per_point_reference(threads):
         )
         for a, b in zip(off, on)
     ]
-
-
-def test_pattern_matrix_unpacks_the_pattern_bits():
-    for t_slots in (1, 7, 8, 9, 100):
-        matrix = pattern_matrix((3, 1, 2), 0.4, t_slots)
-        assert matrix.shape == (3, t_slots) and matrix.dtype == bool
-        for row, device_id in zip(matrix, (3, 1, 2)):
-            assert ChannelTrace.from_slots(row).bits == _pattern_bits(device_id, 0.4, t_slots)
-    assert pattern_matrix((), 0.4, 10).shape == (0, 10)
 
 
 @st.composite

@@ -14,7 +14,7 @@ import pytest
 
 import beepid.cli as cli
 import beepid.montecarlo as montecarlo
-from beepid.identify import pattern_matrix
+from beepid.fingerprint import generate_pattern
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -64,13 +64,36 @@ def test_realisation_calls_the_fading_functions_through_module_globals(monkeypat
 
         monkeypatch.setattr(montecarlo, name, counted)
     cfg = montecarlo.SimConfig(runs=1, period_ms=(100,), p=(0.3,), interference_rate=(0.0,))
-    patterns = pattern_matrix(cfg.active_ids(), 0.3, 10)
-    montecarlo._realise_run(cfg, patterns, cfg.periods_per_run(100), 1)
+    patterns = generate_pattern(cfg.active_ids(), 0.3, 10)
+    montecarlo.simulate_run_traces(cfg, patterns, cfg.periods_per_run(100), 1)
     assert calls["standard_complex_normal"] and calls["rayleigh_sequence"]
     # The tracer sizes the fading bytes from the positional noise block.
     for args, kwargs in calls["rayleigh_sequence"]:
         assert not kwargs and len(args) == 3
         assert isinstance(args[2], np.ndarray) and args[2].nbytes > 0
+
+
+@pytest.mark.parametrize("filter_lens", [(0,), (1,), (0, 2), (6,)])
+def test_point_counts_call_the_traced_layers_through_module_globals(monkeypatch, filter_lens):
+    # The tracer's montecarlo spans time the hot path only if _point_counts
+    # looks these names up on the module when it runs.
+    calls = {"simulate_run_traces": [], "score_traces": [], "filter_apply": []}
+    for name, log in calls.items():
+        real = getattr(montecarlo, name)
+
+        def counted(*args, _real=real, _log=log, **kwargs):
+            _log.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, name, counted)
+    cfg = montecarlo.SimConfig(runs=2, period_ms=(100,), p=(0.3,), interference_rate=(0.0, 0.1))
+    seeds = [montecarlo.run_seed_for(cfg, 0, 0, r) for r in range(cfg.runs)]
+    montecarlo._point_counts((cfg, 0, 0, seeds, filter_lens))
+    assert len(calls["simulate_run_traces"]) == len(calls["score_traces"]) == cfg.runs
+    # filter_apply runs for real windows only, so that its span counts
+    # calls on filtered workloads alone.
+    windows = [m for m in filter_lens if m >= 2]
+    assert [args[1] for args in calls["filter_apply"]] == windows * cfg.runs
 
 
 CLI_HOOKS = ("load_config", "sweep", "compare_filtering", "metrics_csv", "compare_csv")
