@@ -29,7 +29,6 @@ from .montecarlo import (
     MetricsRecord,
     SimConfig,
     compare_filtering,
-    run_once,
     sweep,
 )
 
@@ -56,6 +55,5 @@ __all__ = [
     "optimal_T_exact",
     "optimal_p",
     "pathloss_db",
-    "run_once",
     "sweep",
 ]

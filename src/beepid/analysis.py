@@ -15,11 +15,19 @@ target then follows by solving the power equation for T.
 from __future__ import annotations
 
 import math
+import sys
+
+
+def _check_count(label: str, value: int) -> None:
+    """Refuse a count below 1 or beyond the float range, which the formulas cannot convert."""
+    if value < 1:
+        raise ValueError(f"{label} must be >= 1, got {value}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{label} is beyond the float range ({len(str(value))} digits)")
 
 
 def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"station count must be >= 1, got {n}")
+    _check_count("station count n", n)
 
 
 def _check_p(p: float) -> None:
@@ -56,8 +64,7 @@ def false_id_prob(n: int, p: float, T: int) -> float:
     """
     _check_n(n)
     _check_p(p)
-    if T < 1:
-        raise ValueError(f"period length must be >= 1, got {T}")
+    _check_count("period length T", T)
     x = p * _miss_all(n, p)
     if x == 0.0:
         return 1.0
@@ -70,6 +77,20 @@ def optimal_p(n: int) -> float:
     return 1.0 / (n + 1)
 
 
+def _period_for(n: int, target: float | None, base) -> float:
+    """T solving (1 - base(n))^T = target; the default target is 1/n, and a target of 1 needs 0."""
+    _check_n(n)
+    if target is None:
+        target = 1.0 / n
+    if not 0.0 < target <= 1.0:
+        raise ValueError(f"target probability must be in (0, 1], got {target}")
+    if target == 1.0:
+        return 0.0
+    # A base that underflows to 0 (n near the float maximum) needs an endless period.
+    log_base = math.log1p(-base(n))
+    return math.log(target) / log_base if log_base else math.inf
+
+
 def optimal_T(n: int, target: float | None = None) -> float:
     """Period length driving the false-identification probability to ``target``.
 
@@ -78,26 +99,9 @@ def optimal_T(n: int, target: float | None = None) -> float:
     result is real-valued; round up for a usable slot count. n = 1 with the
     default target degenerates to 0 (the target is already 1).
     """
-    _check_n(n)
-    if target is None:
-        target = 1.0 / n
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"target probability must be in (0, 1], got {target}")
-    if target == 1.0:
-        return 0.0
-    base = 1.0 / (math.e * (n + 1))
-    return math.log(target) / math.log1p(-base)
+    return _period_for(n, target, lambda n: 1.0 / (math.e * (n + 1)))
 
 
 def optimal_T_exact(n: int, target: float | None = None) -> float:
     """As optimal_T, but with the exact base 1 - p_opt (1-p_opt)^n, p_opt = 1/(n+1)."""
-    _check_n(n)
-    if target is None:
-        target = 1.0 / n
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"target probability must be in (0, 1], got {target}")
-    if target == 1.0:
-        return 0.0
-    p_opt = 1.0 / (n + 1)
-    base = p_opt * _miss_all(n, p_opt)
-    return math.log(target) / math.log1p(-base)
+    return _period_for(n, target, lambda n: (p := optimal_p(n)) * _miss_all(n, p))

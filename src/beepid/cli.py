@@ -60,10 +60,11 @@ def metrics_csv(records: list[MetricsRecord]) -> str:
 def compare_csv(records: list[FilterComparison]) -> str:
     lines = [COMPARE_HEADER]
     for r in records:
+        off, on = r.off, r.on
         lines.append(
-            f"{r.t_ms},{_fmt(r.p)},{_fmt(r.interference_rate)},{r.filter_len},"
-            f"{r.runs},{_fmt(r.tp_rate_off)},{_fmt(r.tp_rate_on)},"
-            f"{_fmt(r.tn_rate_off)},{_fmt(r.tn_rate_on)},"
+            f"{on.t_ms},{_fmt(on.p)},{_fmt(on.interference_rate)},{on.filter_len},"
+            f"{on.runs},{_fmt(off.tp_rate)},{_fmt(on.tp_rate)},"
+            f"{_fmt(off.tn_rate)},{_fmt(on.tn_rate)},"
             f"{_fmt(r.tp_gain)},{_fmt(r.tn_loss)},{_fmt(r.net)}"
         )
     return "\n".join(lines) + "\n"
@@ -149,28 +150,25 @@ def _gnuplot_path(out_path: str | None) -> Path:
 def cmd_analyze(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--n must be >= 1")
     if args.target is not None and not 0.0 < args.target <= 1.0:
-        print("error: --target must be in (0, 1]", file=sys.stderr)
-        return EXIT_CONFIG
-    target = args.target if args.target is not None else 1.0 / n
-    if args.p is not None and args.T is not None:
-        try:
+        raise ConfigError("--target must be in (0, 1]")
+    if (args.p is None) != (args.T is None):
+        raise ConfigError("--p and --T must be given together")
+    try:
+        # optimal_p checks n first, so that 1/n below is a float.
+        p_opt = optimal_p(n)
+        target = args.target if args.target is not None else 1.0 / n
+        t_opt, t_exact = optimal_T(n, target), optimal_T_exact(n, target)
+        if args.p is not None:
             prob = false_id_prob(n, args.p, args.T)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if args.p is not None:
         print(f"false_id_prob(n={n}, p={args.p}, T={args.T}) = {prob:.12g}")
-    elif (args.p is None) != (args.T is None):
-        print("error: --p and --T must be given together", file=sys.stderr)
-        return EXIT_CONFIG
-    print(f"optimal_p(n={n}) = {optimal_p(n):.12g}")
-    print(f"optimal_T(n={n}, target={target:.12g}) = {optimal_T(n, target):.12g}")
-    print(
-        f"optimal_T_exact(n={n}, target={target:.12g}) = "
-        f"{optimal_T_exact(n, target):.12g}"
-    )
+    print(f"optimal_p(n={n}) = {p_opt:.12g}")
+    print(f"optimal_T(n={n}, target={target:.12g}) = {t_opt:.12g}")
+    print(f"optimal_T_exact(n={n}, target={target:.12g}) = {t_exact:.12g}")
     print(f"false_id target = {target:.12g}")
     return EXIT_OK
 
@@ -206,9 +204,9 @@ def cmd_compare_filter(args: argparse.Namespace) -> int:
 
 
 def _maybe_dump_config(cfg: SimConfig, args: argparse.Namespace) -> None:
-    dump = getattr(args, "dump_config", None)
-    if dump:
-        Path(dump).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    if args.dump_config:
+        text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+        Path(args.dump_config).write_text(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

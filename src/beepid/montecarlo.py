@@ -23,7 +23,7 @@ import math
 import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -242,25 +242,18 @@ class MetricsRecord:
 
 @dataclass(frozen=True)
 class FilterComparison:
-    """Paired filtered-vs-unfiltered rates for one parameter point."""
+    """Unfiltered and filtered records of one parameter point, scored on the same runs."""
 
-    t_ms: int
-    p: float
-    interference_rate: float
-    filter_len: int
-    runs: int
-    tp_rate_off: float
-    tp_rate_on: float
-    tn_rate_off: float
-    tn_rate_on: float
+    off: MetricsRecord
+    on: MetricsRecord
 
     @property
     def tp_gain(self) -> float:
-        return self.tp_rate_on - self.tp_rate_off
+        return self.on.tp_rate - self.off.tp_rate
 
     @property
     def tn_loss(self) -> float:
-        return self.tn_rate_off - self.tn_rate_on
+        return self.off.tn_rate - self.on.tn_rate
 
     @property
     def net(self) -> float:
@@ -363,99 +356,62 @@ def _point_counts(task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]]
     return counts
 
 
-def _record(
-    cfg: SimConfig, ti: int, pi: int, ii: int, filter_len: int, counts: np.ndarray
-) -> MetricsRecord:
-    period_ms = cfg.period_ms[ti]
-    tp, fn, tn, fp = (int(c) for c in counts)
-    return MetricsRecord(
-        t_ms=period_ms,
-        p=cfg.p[pi],
-        interference_rate=cfg.interference_rate[ii],
-        filter_len=filter_len,
-        runs=cfg.runs,
-        events=cfg.periods_per_run(period_ms) * cfg.runs,
-        tp=tp,
-        fn=fn,
-        tn=tn,
-        fp=fp,
-    )
-
-
-def run_once(cfg: SimConfig, run_seed: int) -> MetricsRecord:
-    """Simulate and score a single run at a single parameter point.
-
-    Requires every grid field to hold exactly one value.
-    """
-    cfg.require_single_point()
-    counts = _point_counts((cfg, 0, 0, [run_seed], (cfg.filter_len,)))
-    return _record(replace(cfg, runs=1), 0, 0, 0, cfg.filter_len, counts[0, 0])
-
-
 def run_seed_for(cfg: SimConfig, t_index: int, p_index: int, run_index: int) -> int:
     """Seed for one run; interference rate intentionally not an input (pairing)."""
     return derive_seed(cfg.master_seed, t_index, p_index, run_index)
 
 
-def _map_points(worker, tasks, threads: int):
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    # No more workers than tasks: the pool forks all of them up front.
-    workers = min(threads, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
-    return [worker(task) for task in tasks]
-
-
-def _grid_counts(cfg: SimConfig, filter_lens: tuple[int, ...], threads: int):
-    """Pairs ((ti, pi), counts) for every (period, p) cell, in grid order.
+def _grid_records(
+    cfg: SimConfig, filter_lens: tuple[int, ...], threads: int
+) -> list[tuple[MetricsRecord, ...]]:
+    """One record per filter length at every (period, p, interference rate) point, in grid order.
 
     Point results are independent of scheduling: seeds derive from grid
     coordinates, and cells come back in grid order, so any thread count
     produces identical output.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = [(ti, pi) for ti in range(len(cfg.period_ms)) for pi in range(len(cfg.p))]
     tasks = [
         (cfg, ti, pi, [run_seed_for(cfg, ti, pi, r) for r in range(cfg.runs)], filter_lens)
         for ti, pi in cells
     ]
-    return zip(cells, _map_points(_point_counts, tasks, threads))
+    # No more workers than tasks: the pool forks all of them up front.
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(tasks) // (workers * 4))
+            cell_counts = list(pool.map(_point_counts, tasks, chunksize=chunksize))
+    else:
+        cell_counts = [_point_counts(task) for task in tasks]
+
+    records = []
+    for (ti, pi), counts in zip(cells, cell_counts):
+        period_ms = cfg.period_ms[ti]
+        events = cfg.periods_per_run(period_ms) * cfg.runs
+        for rate, rate_counts in zip(cfg.interference_rate, counts.tolist()):
+            records.append(
+                tuple(
+                    MetricsRecord(period_ms, cfg.p[pi], rate, m, cfg.runs, events, *tally)
+                    for m, tally in zip(filter_lens, rate_counts)
+                )
+            )
+    return records
 
 
 def sweep(cfg: SimConfig, threads: int = 1) -> list[MetricsRecord]:
     """Metrics for the full (period, p, interference rate) grid, in grid order."""
-    return [
-        _record(cfg, ti, pi, ii, cfg.filter_len, cell[ii, 0])
-        for (ti, pi), cell in _grid_counts(cfg, (cfg.filter_len,), threads)
-        for ii in range(len(cfg.interference_rate))
-    ]
+    return [record for (record,) in _grid_records(cfg, (cfg.filter_len,), threads)]
 
 
 def compare_filtering(cfg: SimConfig, threads: int = 1) -> list[FilterComparison]:
-    """Filtered vs unfiltered rates over the grid, from the same simulated runs.
+    """Unfiltered and filtered records over the grid, from the same simulated runs.
 
     Both scorings consume identical traces (filtering is receiver-side
     post-processing), which realizes the paired-seed comparison exactly.
     """
     if cfg.filter_len < 2:
         raise ConfigError("compare_filtering needs filter_len >= 2")
-    comparisons = []
-    for (ti, pi), cell in _grid_counts(cfg, (0, cfg.filter_len), threads):
-        for ii in range(len(cfg.interference_rate)):
-            off = _record(cfg, ti, pi, ii, 0, cell[ii, 0])
-            on = _record(cfg, ti, pi, ii, cfg.filter_len, cell[ii, 1])
-            comparisons.append(
-                FilterComparison(
-                    t_ms=on.t_ms,
-                    p=on.p,
-                    interference_rate=on.interference_rate,
-                    filter_len=cfg.filter_len,
-                    runs=cfg.runs,
-                    tp_rate_off=off.tp_rate,
-                    tp_rate_on=on.tp_rate,
-                    tn_rate_off=off.tn_rate,
-                    tn_rate_on=on.tn_rate,
-                )
-            )
-    return comparisons
+    pairs = _grid_records(cfg, (0, cfg.filter_len), threads)
+    return [FilterComparison(off, on) for off, on in pairs]

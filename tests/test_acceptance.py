@@ -174,8 +174,8 @@ def test_acceptance_6_filtering_effect():
     cfg = SimConfig(runs=50, interference_rate=(0.2,), filter_len=6, master_seed=6)
     records = compare_filtering(cfg)
     gain_ok = all(r.tp_gain >= 0.0 for r in records)
-    high_t = [r for r in records if r.t_ms in (500, 1000) and r.p >= 0.3]
-    low_t = [r for r in records if r.t_ms == 50 and r.p >= 0.3]
+    high_t = [r for r in records if r.on.t_ms in (500, 1000) and r.on.p >= 0.3]
+    low_t = [r for r in records if r.on.t_ms == 50 and r.on.p >= 0.3]
     net_hi_ok = all(r.net > 0.0 for r in high_t)
     net_lo_ok = all(r.net < 0.0 for r in low_t)
     detail = (

@@ -1,6 +1,7 @@
 """Closed forms against Monte-Carlo, grid-search, and summation oracles."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -195,3 +196,26 @@ def test_domain_validation():
         optimal_T(5, target=0.0)
     with pytest.raises(ValueError):
         optimal_T_exact(5, target=2.0)
+
+
+def test_counts_beyond_the_float_range_are_refused():
+    huge = 10**400
+    for call in (
+        lambda: coverage_prob(huge, 0.5, 1),
+        lambda: false_id_prob(huge, 0.5, 1),
+        lambda: optimal_p(huge),
+        lambda: optimal_T(huge),
+        lambda: optimal_T_exact(huge, 0.5),
+    ):
+        with pytest.raises(ValueError, match="station count n is beyond the float range"):
+            call()
+    with pytest.raises(ValueError, match="period length T is beyond the float range"):
+        false_id_prob(10, 0.1, huge)
+
+
+def test_period_at_the_float_maximum_is_endless_not_an_error():
+    # 1/(e(n+1)) underflows to 0 here, which divided ln(target) by zero.
+    n = int(sys.float_info.max)
+    assert optimal_T(n) == math.inf
+    assert optimal_T(n, 0.5) == math.inf
+    assert optimal_T_exact(n) == math.inf

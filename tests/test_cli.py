@@ -1,6 +1,7 @@
 """CLI: subcommands, overrides, CSV schema, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 import tempfile
@@ -72,6 +73,19 @@ def test_analyze_rejects_bad_domain(capsys):
     assert main(["analyze", "--n", "5", "--p", "2.0", "--T", "10"]) == EXIT_CONFIG
     assert main(["analyze", "--n", "5", "--p", "0.5"]) == EXIT_CONFIG
     assert main(["analyze", "--n", "5", "--target", "0"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [(["--n", "1" + "0" * 400], "n"), (["--n", "10", "--p", "0.1", "--T", "1" + "0" * 400], "T")],
+)
+def test_analyze_refuses_counts_beyond_the_float_range(capsys, args, flag):
+    # Such a count used to reach a float conversion and exit 2 with
+    # "int too large to convert to float".
+    assert main(["analyze", *args]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f" {flag} is beyond the float range" in captured.err
 
 
 def test_simulate_ideal_point(config_path, tmp_path, capsys):
@@ -153,6 +167,30 @@ def test_thread_count_is_invisible_in_output(config_path, tmp_path):
     assert main(args + ["--threads", "1", "--out", str(a)]) == EXIT_OK
     assert main(args + ["--threads", "2", "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
+# SHA-256 of the CSVs of the default fading config at runs=2; any change to
+# the seeding, the channel, the scoring or the formatting changes them.
+PINNED_CSV_SHA256 = {
+    ("sweep", 1): "21f069498826dc2cf7f85a51c18b9d763a36d9a9cf7dfe471aa6066cd0ac5c05",
+    ("sweep", 7): "22fbf617e82f6409a8aa4af50722e5c4b42fa9879793e0e73dd59d56138ede6f",
+    ("compare-filter", 1): "5e55ab3e82d431bab0fa9f11e604e40966add54eda32e45f7233f259ec4c3242",
+    ("compare-filter", 7): "611a3186025a15584cf78417dcdc80d1c068326b82f292b9a8bf76a898efd389",
+}
+
+
+@pytest.mark.parametrize("command, seed", sorted(PINNED_CSV_SHA256))
+def test_csv_bytes_are_pinned(tmp_path, command, seed):
+    extra = ["--filter-len", "6"] if command == "compare-filter" else []
+    for threads in ("1", "2"):
+        out_path = tmp_path / f"{command}-{threads}.csv"
+        args = [command, *extra, "--config", str(DEFAULT_CONFIG), "--set", "runs=2"]
+        args += ["--seed", str(seed), "--threads", threads, "--out", str(out_path)]
+        assert main(args) == EXIT_OK
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == PINNED_CSV_SHA256[command, seed], threads
 
 
 def test_compare_filter_csv(config_path, tmp_path):

@@ -22,7 +22,6 @@ from beepid.montecarlo import (
     SimConfig,
     _draw_layout,
     compare_filtering,
-    run_once,
     run_seed_for,
     score_traces,
     simulate_run_traces,
@@ -129,14 +128,14 @@ def test_full_grid_produces_all_records():
     assert len(set(points)) == 180
 
 
-def test_single_point_sweep_equals_run_once_aggregation():
+def test_single_point_sweep_equals_per_run_aggregation():
     cfg = _point_cfg(runs=4, interference_rate=(0.05,))
     record = sweep(cfg)[0]
-    tp = fn = tn = fp = 0
-    for run_index in range(cfg.runs):
-        r = run_once(cfg, run_seed_for(cfg, 0, 0, run_index))
-        tp, fn, tn, fp = tp + r.tp, fn + r.fn, tn + r.tn, fp + r.fp
-    assert (record.tp, record.fn, record.tn, record.fp) == (tp, fn, tn, fp)
+    total = sum(
+        montecarlo._point_counts((cfg, 0, 0, [run_seed_for(cfg, 0, 0, r)], (cfg.filter_len,)))[0, 0]
+        for r in range(cfg.runs)
+    )
+    assert [record.tp, record.fn, record.tn, record.fp] == total.tolist()
 
 
 def test_filter_length_one_changes_nothing():
@@ -190,10 +189,8 @@ def test_compare_filtering_pairs_the_same_traces():
     comparison = compare_filtering(cfg)[0]
     unfiltered = sweep(dataclasses.replace(cfg, filter_len=0))[0]
     filtered = sweep(dataclasses.replace(cfg, filter_len=4))[0]
-    assert comparison.tp_rate_off == unfiltered.tp_rate
-    assert comparison.tp_rate_on == filtered.tp_rate
-    assert comparison.tn_rate_off == unfiltered.tn_rate
-    assert comparison.tn_rate_on == filtered.tn_rate
+    assert comparison.off == unfiltered
+    assert comparison.on == filtered
 
 
 def test_layout_draw():
@@ -209,10 +206,12 @@ def test_layout_draw():
     assert centre_budget[0] == ch.tx_power_dbm - ch.pathloss_ref_db
 
 
-def test_run_once_requires_singleton_grids():
-    cfg = _point_cfg(period_ms=(50, 100))
-    with pytest.raises(ConfigError):
-        run_once(cfg, 1)
+def test_require_single_point_refuses_grids():
+    _point_cfg().require_single_point()
+    grids = {"period_ms": (50, 100), "p": (0.1, 0.3), "interference_rate": (0.0, 0.1)}
+    for name, grid in grids.items():
+        with pytest.raises(ConfigError, match=f"but {name} has 2 values"):
+            _point_cfg(**{name: grid}).require_single_point()
 
 
 def test_compare_filtering_requires_window():
@@ -436,10 +435,7 @@ def test_grid_matches_per_point_reference(threads):
     off, on = _reference_records(cfg, 0), _reference_records(cfg, 3)
     assert sweep(cfg, threads=threads) == on
     assert compare_filtering(cfg, threads=threads) == [
-        FilterComparison(
-            a.t_ms, a.p, a.interference_rate, 3, cfg.runs, a.tp_rate, b.tp_rate, a.tn_rate, b.tn_rate
-        )
-        for a, b in zip(off, on)
+        FilterComparison(a, b) for a, b in zip(off, on)
     ]
 
 
@@ -482,5 +478,5 @@ def test_raising_the_interference_rate_never_lowers_tp_or_fp(cfg):
 @given(_small_fading_cfgs())
 def test_filtering_never_lowers_tp_rate_or_raises_tn_rate(cfg):
     for row in compare_filtering(cfg):
-        assert row.tp_rate_on >= row.tp_rate_off
-        assert row.tn_rate_on <= row.tn_rate_off
+        assert row.on.tp_rate >= row.off.tp_rate
+        assert row.on.tn_rate <= row.off.tn_rate
