@@ -12,6 +12,7 @@ Monte-Carlo harness, and a CLI.
 from .analysis import (
     coverage_prob,
     false_id_prob,
+    false_id_prob_given_union,
     optimal_p,
     optimal_T,
     optimal_T_exact,
@@ -47,6 +48,7 @@ __all__ = [
     "derive_seed",
     "doppler_correlation",
     "false_id_prob",
+    "false_id_prob_given_union",
     "filter_apply",
     "filter_push",
     "generate_pattern",

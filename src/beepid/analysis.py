@@ -10,6 +10,12 @@ is p*(1-p)^n, giving a false-identification probability of
 over a period of T slots. Minimizing over p yields p_opt = 1/(n+1); the
 period length needed to push the false-identification probability below a
 target then follows by solving the power equation for T.
+
+That formula averages over the active stations' union. A fixed roster
+re-emits fixed patterns, so every period sees the same union, covering U
+of the T slots; conditioned on it, a silent candidate survives with
+probability (1 - p(1-r)^w)^(T-U), where r is the per-slot interference
+rate and w the number of periods the receiver ORs together.
 """
 
 from __future__ import annotations
@@ -69,6 +75,31 @@ def false_id_prob(n: int, p: float, T: int) -> float:
     if x == 0.0:
         return 1.0
     return math.exp(T * math.log1p(-x))
+
+
+def false_id_prob_given_union(
+    T: int, covered: int, p: float, r: float = 0.0, window: int = 1
+) -> float:
+    """False-identification probability given the union: (1 - p(1-r)^w)^(T-U).
+
+    ``covered`` is U, the slots of the period the active stations' union
+    covers. Each of the other T - U slots kills a silent candidate that
+    beeps in it, unless interference at per-slot rate ``r`` covers it in
+    one of the ``window`` = w periods the receiver ORs together (w = 1
+    unfiltered). Evaluated through log1p/exp, as false_id_prob is.
+    """
+    _check_count("period length T", T)
+    if not 0 <= covered <= T:
+        raise ValueError(f"covered slot count must be in [0, T], got {covered}")
+    _check_p(p)
+    _check_p(r)
+    _check_count("window w", window)
+    x = p * _miss_all(window, r)
+    if x == 0.0 or covered == T:
+        return 1.0
+    if x == 1.0:
+        return 0.0
+    return math.exp((T - covered) * math.log1p(-x))
 
 
 def optimal_p(n: int) -> float:

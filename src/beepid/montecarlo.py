@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .channel import (
     ChannelConfig,
@@ -276,13 +277,13 @@ def simulate_run_traces(
     (n_periods, t_slots); a rate's traces are ``heard | (draws < rate)``.
     """
     n_active, t_slots = active_patterns.shape
-    rng_intf = np.random.default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE))
+    rng_intf = default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE))
     draws = rng_intf.random(n_periods * t_slots).reshape(n_periods, t_slots)
     if cfg.ideal_channel or n_active == 0:
         return np.broadcast_to(active_patterns.any(axis=0), draws.shape), draws
 
     ch = cfg.channel
-    rng_channel = np.random.default_rng(derive_seed(run_seed, _STREAM_CHANNEL))
+    rng_channel = default_rng(derive_seed(run_seed, _STREAM_CHANNEL))
     positions = _draw_layout(cfg, rng_channel)
     shadows = rng_channel.normal(0.0, ch.shadow_std_db, size=cfg.n_nodes)
     rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, cfg.slot_s)

@@ -10,12 +10,14 @@ import pytest
 from beepid.analysis import (
     coverage_prob,
     false_id_prob,
+    false_id_prob_given_union,
     optimal_T,
     optimal_T_exact,
     optimal_p,
 )
 from beepid.fingerprint import generate_pattern
 from beepid.identify import identify
+from beepid.montecarlo import SimConfig, sweep
 
 
 def test_coverage_trivial_cases():
@@ -83,6 +85,64 @@ def test_false_id_large_period_stays_accurate():
     x = 1e-6 * (1 - 1e-6) ** 40
     log_term = -(x + x**2 / 2 + x**3 / 3)
     assert value == pytest.approx(math.exp(10**6 * log_term), rel=1e-9)
+
+
+def test_false_id_given_union_values():
+    assert false_id_prob_given_union(10, 5, 0.2) == pytest.approx(0.8**5, rel=1e-14)
+    # Interference rescues a beep on an uncovered slot in any of w periods.
+    assert false_id_prob_given_union(10, 5, 0.2, 0.2, 3) == pytest.approx(
+        (1 - 0.2 * 0.8**3) ** 5, rel=1e-14
+    )
+    assert false_id_prob_given_union(10, 10, 0.9) == 1.0
+    assert false_id_prob_given_union(10, 3, 0.0) == 1.0
+    assert false_id_prob_given_union(10, 3, 0.5, 1.0) == 1.0
+    assert false_id_prob_given_union(10, 3, 1.0) == 0.0
+    # A longer window and a higher rate can only help a silent candidate.
+    values = [false_id_prob_given_union(20, 4, 0.3, 0.1, w) for w in (1, 2, 5)]
+    assert values == sorted(values)
+    # Tiny p, huge T: log1p keeps the product accurate where 1 - x rounds.
+    assert false_id_prob_given_union(10**12, 0, 1e-12) == pytest.approx(math.exp(-1), rel=1e-9)
+
+
+def test_false_id_given_union_validation():
+    for args in (
+        (0, 0, 0.5),
+        (10, -1, 0.5),
+        (10, 11, 0.5),
+        (10, 2, 1.5),
+        (10, 2, 0.5, -0.1),
+        (10, 2, 0.5, 0.1, 0),
+    ):
+        with pytest.raises(ValueError):
+            false_id_prob_given_union(*args)
+    with pytest.raises(ValueError, match="period length T is beyond the float range"):
+        false_id_prob_given_union(10**400, 0, 0.5)
+
+
+def test_false_id_given_union_matches_the_ideal_channel_sweep():
+    # On an ideal channel without interference every run and period sees the
+    # same union, so one period of one run scores each silent id once, and the
+    # false-identification events of one id are all the same event: the
+    # standard error is over silent ids.
+    n_active, n_silent, p, t_slots = 5, 100_000, 0.2, 10
+    cfg = SimConfig(
+        runs=1,
+        sim_length_s=0.1,
+        period_ms=(100,),
+        p=(p,),
+        interference_rate=(0.0,),
+        n_nodes=n_active + n_silent,
+        n_active=n_active,
+        ideal_channel=True,
+    )
+    (record,) = sweep(cfg)
+    assert record.events == 1
+    covered = int(generate_pattern(cfg.active_ids(), p, t_slots).any(axis=0).sum())
+    expected = false_id_prob_given_union(t_slots, covered, p)
+    se = math.sqrt(expected * (1 - expected) / n_silent)
+    assert abs(record.fp / n_silent - expected) <= 3 * se
+    # The ensemble formula averages over the union and does not describe this roster.
+    assert abs(record.fp / n_silent - false_id_prob(n_active, p, t_slots)) > 3 * se
 
 
 def test_optimal_p_direct_values():

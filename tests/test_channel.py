@@ -1,14 +1,18 @@
 """Radio model: link budget, Doppler correlation, AR(1) fading, detection."""
 
 import dataclasses
+import importlib
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.special
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import beepid.channel as channel
 from beepid.channel import (
     ChannelConfig,
     detect,
@@ -101,6 +105,56 @@ def test_doppler_matches_series_oracle():
     assert doppler_correlation(velocity, carrier, slot) == pytest.approx(
         expected, abs=1e-6
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(velocity=st.floats(0.0, 2000.0), slot=st.floats(1e-4, 0.1))
+@example(velocity=50.0, slot=0.01)  # J0 argument 6.98, on cephes' asymptotic branch
+@example(velocity=100.0, slot=0.01)  # 13.97, past the fourth zero
+def test_doppler_correlation_is_scipy_j0_bit_for_bit(velocity, slot):
+    doppler_hz = (velocity / 3.6) * 2.4e9 / 2.99792458e8
+    expected = min(max(float(scipy.special.j0(2.0 * math.pi * doppler_hz * slot)), 0.0), 1.0)
+    assert doppler_correlation(velocity, 2.4e9, slot) == expected
+
+
+def test_kernel_loader_falls_back_to_the_ordinary_import(monkeypatch):
+    g0 = standard_complex_normal(np.random.default_rng(5), 3)
+    noise = standard_complex_normal(np.random.default_rng(6), (3, 400))
+    rho = doppler_correlation(3.0, 2.4e9, 0.01)
+    direct = rayleigh_sequence(g0, rho, noise), doppler_correlation(50.0, 2.4e9, 0.01)
+
+    class NoExtensions:
+        """A finder that finds no extension file, as on a scipy release that moved it."""
+
+        def __init__(self, path, *loader_details):
+            pass
+
+        def find_spec(self, fullname, target=None):
+            return None
+
+    imported = []
+    import_module = importlib.import_module
+
+    def recording_import(name):
+        imported.append(name)
+        return import_module(name)
+
+    # Not imported yet, so the loader looks for the extension files.
+    for module in ("scipy.signal._sigtools", "scipy.special._special_ufuncs"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    monkeypatch.setattr(channel, "FileFinder", NoExtensions)
+    monkeypatch.setattr(importlib, "import_module", recording_import)
+    linear_filter = channel._load_kernel(
+        "scipy.signal._sigtools", "_linear_filter", "scipy.signal._sigtools"
+    )
+    j0 = channel._load_kernel("scipy.special._special_ufuncs", "j0", "scipy.special")
+    assert imported == ["scipy.signal._sigtools", "scipy.special"]
+    assert linear_filter is sys.modules["scipy.signal._sigtools"]._linear_filter
+    assert j0 is scipy.special.j0
+    monkeypatch.setattr(channel, "_linear_filter", linear_filter)
+    monkeypatch.setattr(channel, "j0", j0)
+    fallback = rayleigh_sequence(g0, rho, noise), doppler_correlation(50.0, 2.4e9, 0.01)
+    assert np.array_equal(fallback[0], direct[0]) and fallback[1] == direct[1]
 
 
 def test_doppler_clamped_to_unit_interval():

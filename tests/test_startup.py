@@ -1,0 +1,123 @@
+"""Start-up: the CLI loads no scipy package, and the timed sweep imports nothing.
+
+``beepid.channel`` loads the two compiled scipy kernels it calls straight
+from their extension files, so ``import beepid.cli`` must not pull in
+``scipy.signal`` (which imports ``scipy.stats``) or ``scipy.special``.
+Every check runs in a fresh interpreter, since the test process itself
+imports scipy freely.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCIPY_PACKAGES = ("scipy.signal", "scipy.special", "scipy.stats")
+
+# Runs ``cli.main(argv)`` (nothing when argv is empty) and prints, as the last
+# line, the exit code, every loaded module, and the modules first imported
+# after ``load_config`` returned.
+PROBE = """
+import json, sys
+import beepid.cli as cli
+snapshot = {}
+load_config = cli.load_config
+def hooked(*args, **kwargs):
+    cfg = load_config(*args, **kwargs)
+    snapshot["modules"] = set(sys.modules)
+    return cfg
+cli.load_config = hooked
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+late = set(sys.modules) - snapshot.get("modules", set(sys.modules))
+print(json.dumps({"code": code, "modules": sorted(sys.modules), "late": sorted(late)}))
+"""
+
+# Public scipy still imports after the direct load, and its lfilter, given the
+# (real, imag) float pairs rayleigh_sequence filters, gives the same bits.
+PUBLIC_LFILTER = """
+import json, math
+import numpy as np
+import beepid.channel as channel
+from beepid.channel import doppler_correlation, j0, rayleigh_sequence, standard_complex_normal
+import scipy.signal, scipy.special
+assert scipy.signal._sigtools._linear_filter is channel._linear_filter
+rng = np.random.default_rng(11)
+g0 = standard_complex_normal(rng, 3)
+noise = standard_complex_normal(rng, (3, 700))
+pairs = lambda values: values[..., None].view(np.float64)
+rhos = (0.0, 0.3, 1.0, doppler_correlation(3.0, 2.4e9, 0.01))
+for rho in rhos:
+    zi = pairs(rho * g0)[:, None, :]
+    gains, _ = scipy.signal.lfilter(
+        [1.0], [1.0, -rho], math.sqrt(1.0 - rho * rho) * pairs(noise), axis=1, zi=zi
+    )
+    expected = gains.view(np.complex128)[..., 0]
+    assert np.array_equal(rayleigh_sequence(g0, rho, noise), expected), rho
+x = np.linspace(0.0, 50.0, 5001)
+assert np.array_equal(j0(x), scipy.special.j0(x))
+print(json.dumps(len(rhos)))
+"""
+
+
+def _python(code: str, *args: str):
+    """Run ``code`` in a fresh interpreter with the package importable; its last line, as JSON."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _config(tmp_path, **overrides) -> str:
+    path = tmp_path / "config.json"
+    config = {
+        "runs": 2,
+        "sim_length_s": 2.0,
+        "period_ms": [100],
+        "p": [0.2],
+        "interference_rate": [0.05],
+        "master_seed": 3,
+    }
+    path.write_text(json.dumps({**config, **overrides}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["import", "analyze", "ideal-sweep"])
+def test_cli_loads_no_scipy_package(tmp_path, command):
+    argv = {
+        "import": [],
+        "analyze": ["analyze", "--n", "10"],
+        "ideal-sweep": [
+            "sweep",
+            "--config",
+            _config(tmp_path, ideal_channel=True),
+            "--out",
+            str(tmp_path / "out.csv"),
+        ],
+    }[command]
+    result = _python(PROBE, *argv)
+    assert result["code"] == 0
+    assert not set(SCIPY_PACKAGES) & set(result["modules"])
+
+
+def test_fading_sweep_imports_nothing_after_the_config_is_loaded(tmp_path):
+    # Anything imported inside the sweep is timed as wall_s, not setup_s.
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--config", _config(tmp_path), "--out", str(out), "--threads", "1"]
+    result = _python(PROBE, *argv)
+    assert result["code"] == 0 and out.read_text().count("\n") == 2
+    assert result["late"] == []
+    assert not set(SCIPY_PACKAGES) & set(result["modules"])
+
+
+def test_public_scipy_imports_after_the_direct_load_and_gives_the_same_bits():
+    assert _python(PUBLIC_LFILTER) == 4
