@@ -17,11 +17,7 @@ from .analysis import (
     optimal_T,
     optimal_T_exact,
 )
-from .channel import (
-    ChannelConfig,
-    doppler_correlation,
-    pathloss_db,
-)
+from .channel import doppler_correlation, pathloss_db
 from .fingerprint import DeviceId, derive_seed, generate_pattern
 from .identify import IdSet, filter_apply, filter_push, identify
 from .montecarlo import (
@@ -36,7 +32,6 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelConfig",
     "ConfigError",
     "DeviceId",
     "FilterComparison",

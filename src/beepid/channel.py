@@ -12,7 +12,10 @@ first-order autoregressive complex Gaussian whose correlation follows the
 Clarke/Jakes zeroth-order Bessel law of the node's Doppler frequency, so
 fades span multiple consecutive slots at pedestrian speeds. External
 interference is a strong foreign signal that saturates carrier sensing for
-the slots it occupies; the harness ORs it into the union trace.
+the slots it occupies; the harness ORs it into the union trace. The radio
+constants (transmit power, sensitivity, shadowing spread, carrier,
+pathloss law, deployment side, node speed) are ``SimConfig`` fields, and
+the functions here read them from the config they are given.
 
 The fading path needs two compiled scipy kernels, the AR(1) filter behind
 ``scipy.signal.lfilter`` and the ``j0`` ufunc. ``_load_kernel`` loads each
@@ -32,14 +35,15 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import math
-import numbers
 import os
 import sys
-from contextlib import suppress
-from dataclasses import dataclass, fields
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # montecarlo imports this module
+    from .montecarlo import SimConfig
 
 
 def _load_kernel(module: str, name: str, fallback: str):
@@ -78,61 +82,7 @@ SPEED_OF_LIGHT = 2.99792458e8
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-class ConfigError(ValueError):
-    """Raised for invalid or inconsistent simulation configuration."""
-
-
-def finite_real(key: str, value) -> float:
-    """``value`` as a float when it is a finite real number.
-
-    Bools, strings, None, containers, NaN and infinities are refused, with
-    the config key named; nothing is converted from another kind.
-    """
-    number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with suppress(OverflowError):  # an int beyond the float range
-            number = float(value)
-    if math.isfinite(number):
-        return number
-    raise ConfigError(f"config key {key!r} has invalid value {value!r}: not a finite real number")
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Radio-model constants.
-
-    Defaults model a 100 m x 100 m deployment of 10 uW (-20 dBm) nodes
-    heard by a -104 dBm receiver at 2.4 GHz. The log-distance exponent of
-    3.0 with a 40.05 dB reference loss at 1 m (free space, 2.4 GHz)
-    describes a cluttered environment in which far nodes sit near or below
-    the sensitivity floor, so fast fades routinely erase beeps.
-    """
-
-    tx_power_dbm: float = -20.0
-    sensitivity_dbm: float = -104.0
-    shadow_std_db: float = 8.0
-    carrier_hz: float = 2.4e9
-    pathloss_exponent: float = 3.0
-    pathloss_ref_db: float = 40.05
-    area_m: float = 100.0
-    velocity_kmph: float = 3.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name, finite_real(f.name, getattr(self, f.name)))
-        if self.sensitivity_dbm >= self.tx_power_dbm:
-            raise ConfigError("sensitivity_dbm must sit below tx_power_dbm")
-        if self.shadow_std_db < 0.0:
-            raise ConfigError(f"shadow_std_db must be >= 0, got {self.shadow_std_db}")
-        if self.carrier_hz <= 0.0:
-            raise ConfigError(f"carrier_hz must be positive, got {self.carrier_hz}")
-        if self.area_m <= 0.0:
-            raise ConfigError(f"area_m must be positive, got {self.area_m}")
-        if self.velocity_kmph < 0.0:
-            raise ConfigError(f"velocity_kmph must be >= 0, got {self.velocity_kmph}")
-
-
-def pathloss_db(distance_m, cfg: ChannelConfig):
+def pathloss_db(distance_m, cfg: SimConfig):
     """Log-distance pathloss in dB of a distance or an array of them.
 
     Distances below 1 m are clamped to 1 m to avoid the singularity.
@@ -145,7 +95,7 @@ def pathloss_db(distance_m, cfg: ChannelConfig):
     )
 
 
-def link_budget_dbm(positions: np.ndarray, shadows_db: np.ndarray, cfg: ChannelConfig):
+def link_budget_dbm(positions: np.ndarray, shadows_db: np.ndarray, cfg: SimConfig):
     """Per-node received power before fading: TX - pathloss + shadowing, in dBm.
 
     ``positions`` has shape (nodes, 2) and ``shadows_db`` shape (nodes,);
@@ -213,7 +163,7 @@ def rx_power_dbm(gains: np.ndarray, budget_dbm) -> np.ndarray:
     return rx_dbm
 
 
-def detect(gains: np.ndarray, budget_dbm, cfg: ChannelConfig, out=None) -> np.ndarray:
+def detect(gains: np.ndarray, budget_dbm, cfg: SimConfig, out=None) -> np.ndarray:
     """Carrier sense per (node, slot): received power >= the sensitivity.
 
     Writes the flags into the bool array ``out`` when given, and returns them.

@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment harness.
+"""Monte-Carlo experiment harness and the package's one config class, ``SimConfig``.
 
 Each run drops nodes uniformly in a square with the receiver at the
 center, lets the first n_active roster ids re-emit their fixed beep
@@ -20,21 +20,20 @@ is what makes paired interference comparisons exact.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import suppress
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.random import default_rng
 
 from .channel import (
-    ChannelConfig,
-    ConfigError,
     detect,
     doppler_correlation,
-    finite_real,
     link_budget_dbm,
     rayleigh_sequence,
     standard_complex_normal,
@@ -54,6 +53,25 @@ _STREAM_INTERFERENCE = 2
 # Slots of fading realised and thresholded at a time, which bounds the
 # float temporaries of the link budget whatever the run length.
 _BLOCK_SLOTS = 1 << 14
+
+
+class ConfigError(ValueError):
+    """Raised for invalid or inconsistent simulation configuration."""
+
+
+def finite_real(key: str, value) -> float:
+    """``value`` as a float when it is a finite real number.
+
+    Bools, strings, None, containers, NaN and infinities are refused, with
+    the config key named; nothing is converted from another kind.
+    """
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int beyond the float range
+            number = float(value)
+    if math.isfinite(number):
+        return number
+    raise ConfigError(f"config key {key!r} has invalid value {value!r}: not a finite real number")
 
 
 def _whole(key: str, value) -> int:
@@ -87,8 +105,8 @@ def _grid(read):
     return read_grid
 
 
-# The reader of each SimConfig field but ``channel``, in field order: it
-# refuses a value of the wrong kind and returns the value normalised.
+# The reader of each SimConfig field, in field order: it refuses a value of
+# the wrong kind and returns the value normalised.
 _FIELD_READERS = {
     "runs": _whole,
     "sim_length_s": finite_real,
@@ -101,6 +119,14 @@ _FIELD_READERS = {
     "filter_len": _whole,
     "ideal_channel": _flag,
     "master_seed": _whole,
+    "tx_power_dbm": finite_real,
+    "sensitivity_dbm": finite_real,
+    "shadow_std_db": finite_real,
+    "carrier_hz": finite_real,
+    "pathloss_exponent": finite_real,
+    "pathloss_ref_db": finite_real,
+    "area_m": finite_real,
+    "velocity_kmph": finite_real,
 }
 
 
@@ -112,6 +138,13 @@ class SimConfig:
     sweeps cover their Cartesian product while single-run entry points
     require singletons. Frozen: derive a variant with ``dataclasses.replace``,
     which checks it again.
+
+    The radio constants default to a 100 m x 100 m deployment of 10 uW
+    (-20 dBm) nodes heard by a -104 dBm receiver at 2.4 GHz. The
+    log-distance exponent of 3.0 with a 40.05 dB reference loss at 1 m
+    (free space, 2.4 GHz) describes a cluttered environment in which far
+    nodes sit near or below the sensitivity floor, so fast fades routinely
+    erase beeps.
     """
 
     runs: int = 50
@@ -125,15 +158,23 @@ class SimConfig:
     filter_len: int = 0
     ideal_channel: bool = False
     master_seed: int = 1
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
+    tx_power_dbm: float = -20.0
+    sensitivity_dbm: float = -104.0
+    shadow_std_db: float = 8.0
+    carrier_hz: float = 2.4e9
+    pathloss_exponent: float = 3.0
+    pathloss_ref_db: float = 40.05
+    area_m: float = 100.0
+    velocity_kmph: float = 3.0
 
     def __post_init__(self) -> None:
         for name, read in _FIELD_READERS.items():
             object.__setattr__(self, name, read(name, getattr(self, name)))
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.n_nodes < 1:
-            raise ConfigError("n_nodes must be >= 1")
+        # Roster ids run from 1 to n_nodes, and a device id is a u64.
+        if not 1 <= self.n_nodes <= MASK64:
+            raise ConfigError(f"n_nodes must be in [1, 2**64 - 1], got {self.n_nodes}")
         if not 0 <= self.n_active <= self.n_nodes:
             raise ConfigError("n_active must be in [0, n_nodes]")
         if self.filter_len < 0:
@@ -144,6 +185,16 @@ class SimConfig:
             raise ConfigError("slot_s must be positive")
         if self.sim_length_s <= 0:
             raise ConfigError("sim_length_s must be positive")
+        if self.sensitivity_dbm >= self.tx_power_dbm:
+            raise ConfigError("sensitivity_dbm must sit below tx_power_dbm")
+        if self.shadow_std_db < 0.0:
+            raise ConfigError(f"shadow_std_db must be >= 0, got {self.shadow_std_db}")
+        if self.carrier_hz <= 0.0:
+            raise ConfigError(f"carrier_hz must be positive, got {self.carrier_hz}")
+        if self.area_m <= 0.0:
+            raise ConfigError(f"area_m must be positive, got {self.area_m}")
+        if self.velocity_kmph < 0.0:
+            raise ConfigError(f"velocity_kmph must be >= 0, got {self.velocity_kmph}")
         for p in self.p:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"beep probability {p} outside [0, 1]")
@@ -195,26 +246,18 @@ class SimConfig:
         """The candidate universe: the receiver knows and tests every id."""
         return tuple(range(1, self.n_nodes + 1))
 
-    def active_ids(self) -> tuple[int, ...]:
-        return self.roster()[: self.n_active]
-
     def to_dict(self) -> dict:
-        """Flat JSON-ready form; channel constants inline alongside the rest."""
+        """Flat JSON-ready form, one key per field in field order; grids as lists."""
         values = ((name, getattr(self, name)) for name in _FIELD_READERS)
-        return {
-            **{name: list(v) if isinstance(v, tuple) else v for name, v in values},
-            **asdict(self.channel),
-        }
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
         """Build a config from the flat dict form, rejecting unknown keys."""
-        channel_keys = {f.name for f in fields(ChannelConfig)}
-        unknown = raw.keys() - _FIELD_READERS.keys() - channel_keys
+        unknown = raw.keys() - _FIELD_READERS.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        channel = ChannelConfig(**{k: v for k, v in raw.items() if k in channel_keys})
-        return cls(channel=channel, **{k: v for k, v in raw.items() if k in _FIELD_READERS})
+        return cls(**raw)
 
 
 @dataclass(frozen=True)
@@ -263,7 +306,7 @@ class FilterComparison:
 
 def _draw_layout(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     """One run's node drop: (n_nodes, 2) positions uniform over the square."""
-    return rng.uniform(0.0, cfg.channel.area_m, size=(cfg.n_nodes, 2))
+    return rng.uniform(0.0, cfg.area_m, size=(cfg.n_nodes, 2))
 
 
 def simulate_run_traces(
@@ -282,22 +325,21 @@ def simulate_run_traces(
     if cfg.ideal_channel or n_active == 0:
         return np.broadcast_to(active_patterns.any(axis=0), draws.shape), draws
 
-    ch = cfg.channel
     rng_channel = default_rng(derive_seed(run_seed, _STREAM_CHANNEL))
     positions = _draw_layout(cfg, rng_channel)
-    shadows = rng_channel.normal(0.0, ch.shadow_std_db, size=cfg.n_nodes)
-    rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, cfg.slot_s)
+    shadows = rng_channel.normal(0.0, cfg.shadow_std_db, size=cfg.n_nodes)
+    rho = doppler_correlation(cfg.velocity_kmph, cfg.carrier_hz, cfg.slot_s)
     gain = standard_complex_normal(rng_channel, n_active)
     # Drawn whole: the stream yields every real part before any imaginary one.
     noise = standard_complex_normal(rng_channel, (n_active, n_periods * t_slots))
 
-    budget_dbm = link_budget_dbm(positions[:n_active], shadows[:n_active], ch)[:, None]
+    budget_dbm = link_budget_dbm(positions[:n_active], shadows[:n_active], cfg)[:, None]
     above = np.empty(noise.shape, dtype=bool)
     for start in range(0, noise.shape[1], _BLOCK_SLOTS):
         block = slice(start, start + _BLOCK_SLOTS)
         gains = rayleigh_sequence(gain, rho, noise[:, block])
         gain = gains[:, -1]
-        detect(gains, budget_dbm, ch, out=above[:, block])
+        detect(gains, budget_dbm, cfg, out=above[:, block])
 
     detected = above.reshape(n_active, n_periods, t_slots)
     detected &= active_patterns[:, None, :]

@@ -182,11 +182,10 @@ def _ref_run_draws(cfg, n_active: int, n_slots: int, run_seed: int):
     from beepid.fingerprint import derive_seed
 
     draws = np.random.default_rng(derive_seed(run_seed, 2)).random(n_slots)
-    ch = cfg.channel
     rng = np.random.default_rng(derive_seed(run_seed, 1))
-    positions = rng.uniform(0.0, ch.area_m, size=(cfg.n_nodes, 2))
-    shadows = rng.normal(0.0, ch.shadow_std_db, size=cfg.n_nodes)
-    rho = doppler_correlation(ch.velocity_kmph, ch.carrier_hz, cfg.slot_s)
+    positions = rng.uniform(0.0, cfg.area_m, size=(cfg.n_nodes, 2))
+    shadows = rng.normal(0.0, cfg.shadow_std_db, size=cfg.n_nodes)
+    rho = doppler_correlation(cfg.velocity_kmph, cfg.carrier_hz, cfg.slot_s)
     g0 = ref_standard_complex_normal(rng, n_active)
     noise = ref_standard_complex_normal(rng, (n_active, n_slots))
     return draws, positions, shadows, rho, g0, noise
@@ -203,16 +202,15 @@ def ref_realise_run(cfg, active_patterns: np.ndarray, n_periods: int, run_seed: 
     draws, positions, shadows, rho, g0, noise = _ref_run_draws(
         cfg, n_active, n_periods * t_slots, run_seed
     )
-    ch = cfg.channel
     gains = ref_rayleigh_sequence(g0, rho, noise)
-    offsets = positions[:n_active] - np.array([ch.area_m / 2.0, ch.area_m / 2.0])
-    pl = ch.pathloss_ref_db + 10.0 * ch.pathloss_exponent * np.log10(
+    offsets = positions[:n_active] - np.array([cfg.area_m / 2.0, cfg.area_m / 2.0])
+    pl = cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * np.log10(
         np.maximum(np.hypot(*offsets.T), 1.0)
     )
     with np.errstate(divide="ignore"):
         fade_db = 20.0 * np.log10(np.abs(gains))
-    rx_dbm = (ch.tx_power_dbm - pl + shadows[:n_active])[:, None] + fade_db
-    above = (rx_dbm >= ch.sensitivity_dbm).reshape(n_active, n_periods, t_slots)
+    rx_dbm = (cfg.tx_power_dbm - pl + shadows[:n_active])[:, None] + fade_db
+    above = (rx_dbm >= cfg.sensitivity_dbm).reshape(n_active, n_periods, t_slots)
     heard = (active_patterns[:, None, :] & above).any(axis=0)
     return heard, draws.reshape(n_periods, t_slots)
 
@@ -233,7 +231,7 @@ def ref_slot_by_slot_run(
         NodeRadio((float(x), float(y)), float(shadow), complex(gain))
         for (x, y), shadow, gain in zip(positions, shadows, g0)
     ]
-    receiver = (cfg.channel.area_m / 2.0, cfg.channel.area_m / 2.0)
+    receiver = (cfg.area_m / 2.0, cfg.area_m / 2.0)
     periods = []
     for period in range(n_periods):
         outcomes = []
@@ -242,6 +240,6 @@ def ref_slot_by_slot_run(
             for radio, w in zip(radios, noise[:, k]):
                 radio.rayleigh_gain = advance_rayleigh(radio.rayleigh_gain, rho, complex(w))
             intf = int(draws[k] < interference_rate)
-            outcomes.append(detect_slot(active_patterns[:, t], radios, receiver, cfg.channel, intf))
+            outcomes.append(detect_slot(active_patterns[:, t], radios, receiver, cfg, intf))
         periods.append(outcomes)
     return periods

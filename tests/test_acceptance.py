@@ -141,19 +141,20 @@ def test_acceptance_4_ideal_conditions():
 
 def test_acceptance_5_interference_direction():
     cfg = SimConfig(runs=50, master_seed=5)
+    active_ids = cfg.roster()[: cfg.n_active]
     violations = 0
     tn_t100 = {0.0: 0, 0.2: 0}
     events_t100 = 0
     for ti, t_ms in enumerate(cfg.period_ms):
         t_slots = cfg.slots_per_period(t_ms)
         for pi, p in enumerate(cfg.p):
-            active = np.array([ref_pattern_slots(i, p, t_slots) for i in cfg.active_ids()], bool)
+            active = np.array([ref_pattern_slots(i, p, t_slots) for i in active_ids], bool)
             for run_index in range(cfg.runs):
                 seed = run_seed_for(cfg, ti, pi, run_index)
                 heard, draws = simulate_run_traces(cfg, active, cfg.periods_per_run(t_ms), seed)
                 quiet, noisy = heard | (draws < 0.0), heard | (draws < 0.2)
-                cq = ref_score_traces(quiet, cfg.roster(), cfg.active_ids(), p, 0)
-                cn = ref_score_traces(noisy, cfg.roster(), cfg.active_ids(), p, 0)
+                cq = ref_score_traces(quiet, cfg.roster(), active_ids, p, 0)
+                cn = ref_score_traces(noisy, cfg.roster(), active_ids, p, 0)
                 if cn[0] < cq[0] or cn[2] > cq[2]:
                     violations += 1
                 if t_ms == 100:

@@ -137,7 +137,7 @@ def test_false_id_given_union_matches_the_ideal_channel_sweep():
     )
     (record,) = sweep(cfg)
     assert record.events == 1
-    covered = int(generate_pattern(cfg.active_ids(), p, t_slots).any(axis=0).sum())
+    covered = int(generate_pattern(cfg.roster()[: cfg.n_active], p, t_slots).any(axis=0).sum())
     expected = false_id_prob_given_union(t_slots, covered, p)
     se = math.sqrt(expected * (1 - expected) / n_silent)
     assert abs(record.fp / n_silent - expected) <= 3 * se

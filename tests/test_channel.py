@@ -1,6 +1,5 @@
 """Radio model: link budget, Doppler correlation, AR(1) fading, detection."""
 
-import dataclasses
 import importlib
 import math
 import sys
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 import beepid.channel as channel
 from beepid.channel import (
-    ChannelConfig,
     detect,
     doppler_correlation,
     link_budget_dbm,
@@ -24,7 +22,7 @@ from beepid.channel import (
     standard_complex_normal,
 )
 from beepid.fingerprint import generate_pattern
-from beepid.montecarlo import SimConfig, simulate_run_traces
+from beepid.montecarlo import ConfigError, SimConfig, simulate_run_traces
 from oracles import (
     FIRST_J0_ZERO,
     NodeRadio,
@@ -37,7 +35,7 @@ from oracles import (
     ref_standard_complex_normal,
 )
 
-FREE_SPACE = ChannelConfig(pathloss_exponent=2.0, pathloss_ref_db=40.05)
+FREE_SPACE = SimConfig(pathloss_exponent=2.0, pathloss_ref_db=40.05)
 CENTRE = (50.0, 50.0)
 
 
@@ -48,7 +46,7 @@ def _one_slot(x, y, shadow=0.0, gain=1.0 + 0j, cfg=FREE_SPACE):
     return rx_power_dbm(gains, budget)[0, 0], detect(gains, budget, cfg)[0, 0]
 
 
-def _run_cfg(n_nodes=2, **channel) -> SimConfig:
+def _run_cfg(n_nodes=2, **radio) -> SimConfig:
     return SimConfig(
         runs=1,
         sim_length_s=2.0,
@@ -57,7 +55,7 @@ def _run_cfg(n_nodes=2, **channel) -> SimConfig:
         interference_rate=(0.0,),
         n_nodes=n_nodes,
         n_active=n_nodes,
-        channel=ChannelConfig(**channel),
+        **radio,
     )
 
 
@@ -226,7 +224,7 @@ def test_rayleigh_long_run_statistics():
     data=st.data(),
     n_nodes=st.integers(1, 4),
     n_slots=st.integers(1, 5),
-    cfg=st.sampled_from([ChannelConfig(), FREE_SPACE, ChannelConfig(tx_power_dbm=-60.0)]),
+    cfg=st.sampled_from([SimConfig(), FREE_SPACE, SimConfig(tx_power_dbm=-60.0)]),
 )
 def test_array_detection_matches_scalar_oracle(data, n_nodes, n_slots, cfg):
     # Positions anywhere in the square, or within 1.5 m of the receiver;
@@ -275,7 +273,7 @@ def test_detect_slot_silence():
 def test_detect_slot_interference_saturates():
     # p = 0: nobody beeps, yet interference at rate 1 fills every slot.
     cfg = _run_cfg(n_nodes=3)
-    silent = generate_pattern(cfg.active_ids(), 0.0, 10)
+    silent = generate_pattern(cfg.roster()[: cfg.n_active], 0.0, 10)
     for seed in (1, 2):
         heard, draws = simulate_run_traces(cfg, silent, 20, seed)
         assert (heard | (draws < 1.0)).all()
@@ -300,7 +298,7 @@ def test_detect_slot_below_sensitivity():
     assert power == pytest.approx(-140.05) and not heard
     # The threshold is inclusive: -20 dBm less an 84 dB loss at the
     # receiver lands exactly on the -104 dBm floor and is heard.
-    at_floor = ChannelConfig(pathloss_ref_db=84.0)
+    at_floor = SimConfig(pathloss_ref_db=84.0)
     assert _one_slot(*CENTRE, cfg=at_floor) == (-104.0, True)
     radio = NodeRadio(CENTRE, 0.0, 1 + 0j)
     assert detect_slot([1], [radio], CENTRE, at_floor, 0).per_node_detected == (1,)
@@ -331,7 +329,7 @@ def test_union_monotone_in_beepers():
 def test_detection_monotone_in_tx_power():
     # Just below the threshold at the default budget, detected with +10 dB.
     power, heard = _one_slot(50, 60, shadow=-24.0)
-    boosted = ChannelConfig(tx_power_dbm=-10.0, pathloss_exponent=2.0, pathloss_ref_db=40.05)
+    boosted = SimConfig(tx_power_dbm=-10.0, pathloss_exponent=2.0, pathloss_ref_db=40.05)
     boosted_power, boosted_heard = _one_slot(50, 60, shadow=-24.0, cfg=boosted)
     assert not heard and boosted_heard
     assert boosted_power == pytest.approx(power + 10.0)
@@ -351,7 +349,7 @@ def test_slot_outcome_invariant_holds():
     # fades erase some beeps, and each slot's union is its detections or
     # its interference.
     cfg = _run_cfg(n_nodes=5)
-    patterns = generate_pattern(cfg.active_ids(), 0.3, 10)
+    patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, 10)
     erased = 0
     for seed in (1, 7):
         heard, draws = simulate_run_traces(cfg, patterns, cfg.periods_per_run(100), seed)
@@ -367,29 +365,42 @@ def test_slot_outcome_invariant_holds():
     assert erased > 0
 
 
+RADIO_KEYS = (
+    "tx_power_dbm",
+    "sensitivity_dbm",
+    "shadow_std_db",
+    "carrier_hz",
+    "pathloss_exponent",
+    "pathloss_ref_db",
+    "area_m",
+    "velocity_kmph",
+)
+
+
 def test_channel_config_validation():
-    with pytest.raises(ValueError):
-        ChannelConfig(sensitivity_dbm=-10.0, tx_power_dbm=-20.0)
-    with pytest.raises(ValueError):
-        ChannelConfig(velocity_kmph=-3.0)
-    with pytest.raises(ValueError):
-        ChannelConfig(area_m=0.0)
+    base = SimConfig().to_dict()
+
+    def refused(key, value, match=None):
+        # Refused alike on construction and from the flat dict form.
+        with pytest.raises(ConfigError, match=match):
+            SimConfig(**{key: value})
+        with pytest.raises(ConfigError, match=match):
+            SimConfig.from_dict({**base, key: value})
+
+    refused("sensitivity_dbm", -10.0)  # above the default -20 dBm transmit power
+    refused("velocity_kmph", -3.0)
+    refused("area_m", 0.0)
     for key, value in (
         ("shadow_std_db", -1.0),
         ("shadow_std_db", math.nan),
         ("carrier_hz", 0.0),
         ("carrier_hz", -1.0),
     ):
-        with pytest.raises(ValueError, match=key):
-            ChannelConfig(**{key: value})
-    assert ChannelConfig(shadow_std_db=0.0).shadow_std_db == 0.0
+        refused(key, value, match=key)
+    assert SimConfig(shadow_std_db=0.0).shadow_std_db == 0.0
     # Every radio constant is a finite real; NaN used to pass every range check.
-    for f in dataclasses.fields(ChannelConfig):
+    for key in RADIO_KEYS:
         for value in (math.nan, math.inf, -math.inf, True, "1", None, [1.0]):
-            with pytest.raises(ValueError, match=f.name):
-                ChannelConfig(**{f.name: value})
-    assert type(ChannelConfig(tx_power_dbm=-20).tx_power_dbm) is float
-    # The slot length and the interference rate are SimConfig's alone.
-    for key in ("slot_s", "interference_rate"):
-        with pytest.raises(TypeError):
-            ChannelConfig(**{key: 0.5})
+            refused(key, value, match=key)
+    assert type(SimConfig(tx_power_dbm=-20).tx_power_dbm) is float
+    assert type(SimConfig.from_dict({"area_m": 100}).area_m) is float

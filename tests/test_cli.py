@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import beepid.cli as cli
-from beepid.channel import ChannelConfig
 from beepid.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from beepid.montecarlo import SimConfig
 
@@ -69,10 +68,18 @@ def test_analyze_exact_period_at_a_huge_station_count(capsys):
 
 
 def test_analyze_rejects_bad_domain(capsys):
-    assert main(["analyze", "--n", "0"]) == EXIT_CONFIG
+    # The closed forms check n and the target; the CLI reports their refusal.
+    for args, named in (
+        (["--n", "0"], "station count n"),
+        (["--n", "-3", "--target", "0.5"], "station count n"),
+        (["--n", "5", "--target", "0"], "target"),
+        (["--n", "5", "--target", "1.5"], "target"),
+    ):
+        assert main(["analyze", *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
     assert main(["analyze", "--n", "5", "--p", "2.0", "--T", "10"]) == EXIT_CONFIG
     assert main(["analyze", "--n", "5", "--p", "0.5"]) == EXIT_CONFIG
-    assert main(["analyze", "--n", "5", "--target", "0"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize(
@@ -179,6 +186,12 @@ PINNED_CSV_SHA256 = {
     ("compare-filter", 1): "5e55ab3e82d431bab0fa9f11e604e40966add54eda32e45f7233f259ec4c3242",
     ("compare-filter", 7): "611a3186025a15584cf78417dcdc80d1c068326b82f292b9a8bf76a898efd389",
 }
+
+
+def test_default_config_file_spells_out_the_defaults():
+    raw = json.loads(DEFAULT_CONFIG.read_text())
+    assert SimConfig.from_dict(raw) == SimConfig()
+    assert list(SimConfig().to_dict()) == list(raw)
 
 
 @pytest.mark.parametrize("command, seed", sorted(PINNED_CSV_SHA256))
@@ -331,7 +344,17 @@ def test_large_seed_override_stays_exact(config_path, tmp_path):
 def test_non_finite_override_is_a_config_error(config_path, capsys, override):
     assert main(["sweep", "--config", config_path, "--set", override]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "not a finite number" in err
+    assert err.startswith("config error:") and repr(override.partition("=")[0]) in err
+
+
+def test_roster_beyond_the_u64_id_range_is_a_config_error(config_path, capsys, monkeypatch):
+    # Roster ids run up to n_nodes and a device id is a u64; the config is
+    # refused before any roster is built.
+    monkeypatch.setattr(cli, "sweep", _refuse_sweep)
+    args = ["simulate", "--config", config_path, "--set", f"n_nodes={2**64}"]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n_nodes" in err
 
 
 @pytest.mark.parametrize("override", ["shadow_std_db=-1", "carrier_hz=0", "carrier_hz=-1"])
@@ -376,16 +399,6 @@ def _valid_configs(draw):
     period_ms = draw(st.lists(st.integers(1, 100).map(lambda k: 10 * k), min_size=1, max_size=4))
     n_nodes = draw(st.integers(1, 64))
     tx_power_dbm = draw(st.floats(-60.0, 30.0))
-    channel = ChannelConfig(
-        tx_power_dbm=tx_power_dbm,
-        sensitivity_dbm=tx_power_dbm - draw(st.floats(1e-3, 150.0)),
-        shadow_std_db=draw(st.floats(0.0, 20.0)),
-        carrier_hz=draw(st.floats(1e6, 1e11)),
-        pathloss_exponent=draw(st.floats(1.0, 6.0)),
-        pathloss_ref_db=draw(st.floats(0.0, 100.0)),
-        area_m=draw(st.floats(1e-3, 1e5)),
-        velocity_kmph=draw(st.floats(0.0, 500.0)),
-    )
     return SimConfig(
         runs=draw(st.integers(1, 10**6)),
         sim_length_s=draw(st.floats(max(period_ms) / 1000, 1e5)),
@@ -398,7 +411,14 @@ def _valid_configs(draw):
         filter_len=draw(st.integers(0, 50)),
         ideal_channel=draw(st.booleans()),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        channel=channel,
+        tx_power_dbm=tx_power_dbm,
+        sensitivity_dbm=tx_power_dbm - draw(st.floats(1e-3, 150.0)),
+        shadow_std_db=draw(st.floats(0.0, 20.0)),
+        carrier_hz=draw(st.floats(1e6, 1e11)),
+        pathloss_exponent=draw(st.floats(1.0, 6.0)),
+        pathloss_ref_db=draw(st.floats(0.0, 100.0)),
+        area_m=draw(st.floats(1e-3, 1e5)),
+        velocity_kmph=draw(st.floats(0.0, 500.0)),
     )
 
 

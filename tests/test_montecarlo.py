@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import ref_pattern_bits, ref_pattern_slots, ref_realise_run, ref_score_traces
 
 import beepid.montecarlo as montecarlo
-from beepid.channel import ChannelConfig, link_budget_dbm
+from beepid.channel import link_budget_dbm
 from beepid.fingerprint import generate_pattern
 from beepid.montecarlo import (
     _BLOCK_SLOTS,
@@ -201,9 +201,8 @@ def test_layout_draw():
     assert np.array_equal(positions, np.random.default_rng(5).uniform(0.0, 100.0, (10, 2)))
     # The receiver is the centre of the square: a node there sees only the
     # 1 m reference pathloss.
-    ch = cfg.channel
-    centre_budget = link_budget_dbm(np.array([[50.0, 50.0]]), np.zeros(1), ch)
-    assert centre_budget[0] == ch.tx_power_dbm - ch.pathloss_ref_db
+    centre_budget = link_budget_dbm(np.array([[50.0, 50.0]]), np.zeros(1), cfg)
+    assert centre_budget[0] == cfg.tx_power_dbm - cfg.pathloss_ref_db
 
 
 def test_require_single_point_refuses_grids():
@@ -238,6 +237,12 @@ def test_config_validation():
         _point_cfg(slot_s=0.0)
     with pytest.raises(ConfigError):
         _point_cfg(interference_rate=(1.5,))
+    # Roster ids run from 1 to n_nodes, and the largest must be a u64 device id.
+    with pytest.raises(ConfigError, match="n_nodes"):
+        _point_cfg(n_nodes=2**64)
+    with pytest.raises(ConfigError, match="n_nodes"):
+        SimConfig.from_dict({"n_nodes": 2**64})
+    assert _point_cfg(n_nodes=2**64 - 1).n_nodes == 2**64 - 1
 
 
 def test_config_dict_round_trip():
@@ -263,7 +268,7 @@ def test_channel_slot_duration_follows_sim_config():
     # oracle reads too; at 3 km/h it is 0.989 for 5 ms slots, 0.957 for 10 ms.
     cfg = _point_cfg(slot_s=0.005, period_ms=(100,))
     assert cfg.slots_per_period(100) == 20
-    patterns = generate_pattern(cfg.active_ids(), 0.3, 20)
+    patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, 20)
     for run_seed in (1, 2):
         heard, draws = simulate_run_traces(cfg, patterns, 50, run_seed)
         ref_heard, ref_draws = ref_realise_run(cfg, patterns, 50, run_seed)
@@ -271,8 +276,8 @@ def test_channel_slot_duration_follows_sim_config():
 
 
 def test_harsher_pathloss_lowers_tp():
-    mild = _point_cfg(runs=10, channel=ChannelConfig(pathloss_exponent=2.0))
-    harsh = _point_cfg(runs=10, channel=ChannelConfig(pathloss_exponent=3.5))
+    mild = _point_cfg(runs=10, pathloss_exponent=2.0)
+    harsh = _point_cfg(runs=10, pathloss_exponent=3.5)
     assert sweep(harsh)[0].tp_rate < sweep(mild)[0].tp_rate
 
 
@@ -334,11 +339,9 @@ def test_direct_construction_refuses_other_kinds_and_stays_frozen():
 
 def _multi_block_run(velocity_kmph: float, sim_length_s: float = 500.0):
     # 500 s of 100 ms periods: 50000 slots, three whole blocks and a partial one.
-    cfg = _point_cfg(
-        sim_length_s=sim_length_s, channel=ChannelConfig(velocity_kmph=velocity_kmph)
-    )
+    cfg = _point_cfg(sim_length_s=sim_length_s, velocity_kmph=velocity_kmph)
     n_periods = cfg.periods_per_run(100)
-    patterns = generate_pattern(cfg.active_ids(), 0.3, cfg.slots_per_period(100))
+    patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, cfg.slots_per_period(100))
     n_slots = n_periods * patterns.shape[1]
     assert n_slots > 3 * _BLOCK_SLOTS and n_slots % _BLOCK_SLOTS
     return cfg, patterns, n_periods, n_slots
@@ -398,11 +401,12 @@ def test_matrix_scorer_matches_reference_scorer(case):
 def _reference_records(cfg: SimConfig, filter_len: int) -> list[MetricsRecord]:
     """Per-point records from the oracles alone: reference patterns, the
     whole-array realisation and the int-mask scorer, one run at a time."""
+    active_ids = cfg.roster()[: cfg.n_active]
     records = []
     for ti, t_ms in enumerate(cfg.period_ms):
         n_periods = cfg.periods_per_run(t_ms)
         for pi, p in enumerate(cfg.p):
-            active = _ref_patterns(cfg.active_ids(), p, cfg.slots_per_period(t_ms))
+            active = _ref_patterns(active_ids, p, cfg.slots_per_period(t_ms))
             runs = [
                 ref_realise_run(cfg, active, n_periods, run_seed_for(cfg, ti, pi, r))
                 for r in range(cfg.runs)
@@ -412,7 +416,7 @@ def _reference_records(cfg: SimConfig, filter_len: int) -> list[MetricsRecord]:
                 for heard, draws in runs:
                     traces = heard | (draws < rate)
                     totals += ref_score_traces(
-                        traces, cfg.roster(), cfg.active_ids(), p, filter_len
+                        traces, cfg.roster(), active_ids, p, filter_len
                     )
                 tp, fn, tn, fp = (int(c) for c in totals)
                 events = n_periods * cfg.runs
@@ -454,10 +458,8 @@ def _small_fading_cfgs(draw):
         interference_rate=tuple(sorted(rates)),
         filter_len=draw(st.integers(2, 6)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        channel=ChannelConfig(
-            shadow_std_db=draw(st.floats(0.0, 12.0)),
-            velocity_kmph=draw(st.sampled_from([0.0, 3.0, 120.0])),
-        ),
+        shadow_std_db=draw(st.floats(0.0, 12.0)),
+        velocity_kmph=draw(st.sampled_from([0.0, 3.0, 120.0])),
     )
 
 

@@ -64,7 +64,7 @@ def test_realisation_calls_the_fading_functions_through_module_globals(monkeypat
 
         monkeypatch.setattr(montecarlo, name, counted)
     cfg = montecarlo.SimConfig(runs=1, period_ms=(100,), p=(0.3,), interference_rate=(0.0,))
-    patterns = generate_pattern(cfg.active_ids(), 0.3, 10)
+    patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, 10)
     montecarlo.simulate_run_traces(cfg, patterns, cfg.periods_per_run(100), 1)
     assert calls["standard_complex_normal"] and calls["rayleigh_sequence"]
     # The tracer sizes the fading bytes from the positional noise block.
