@@ -110,12 +110,16 @@ def doppler_correlation(velocity_kmph: float, carrier_hz: float, slot_s: float) 
 
     f_d is the maximum Doppler shift of a node moving at the given speed
     relative to the carrier wavelength. Zero velocity gives a static
-    channel (correlation 1).
+    channel (correlation 1). An argument that overflows to infinity gives
+    J0's limit there, 0: j0 itself would return NaN.
     """
     if velocity_kmph < 0.0:
         raise ValueError("velocity must be >= 0")
     doppler_hz = (velocity_kmph / 3.6) * carrier_hz / SPEED_OF_LIGHT
-    rho = float(j0(2.0 * math.pi * doppler_hz * slot_s))
+    argument = 2.0 * math.pi * doppler_hz * slot_s
+    if not math.isfinite(argument):
+        return 0.0
+    rho = float(j0(argument))
     return min(max(rho, 0.0), 1.0)
 
 

@@ -114,9 +114,13 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 def load_config(path: str, overrides: list[str], seed: int | None) -> SimConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -134,6 +138,19 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out_path).write_text(text, newline="")
+
+
+def _check_output_path(option: str, path: str | None) -> None:
+    """Refuse, before any work, an output path that cannot be a file in an existing directory."""
+    if path is not None and (Path(path).is_dir() or not Path(path).absolute().parent.is_dir()):
+        raise ConfigError(f"{option} {path} is not a file in an existing directory")
+
+
+def _load_run_config(args: argparse.Namespace) -> SimConfig:
+    """Check the output paths, then read the config: both are refused before any sweep."""
+    _check_output_path("--out", args.out)
+    _check_output_path("--dump-config", args.dump_config)
+    return load_config(args.config, args.set or [], args.seed)
 
 
 def _gnuplot_path(out_path: str | None) -> Path:
@@ -170,7 +187,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args.set or [], args.seed)
+    cfg = _load_run_config(args)
     cfg.require_single_point()
     records = sweep(cfg, threads=args.threads)
     _write_output(metrics_csv(records), args.out)
@@ -180,7 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     script = _gnuplot_path(args.out) if args.emit_gnuplot else None
-    cfg = load_config(args.config, args.set or [], args.seed)
+    cfg = _load_run_config(args)
     records = sweep(cfg, threads=args.threads)
     _write_output(metrics_csv(records), args.out)
     if script is not None:
@@ -190,7 +207,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_filter(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args.set or [], args.seed)
+    cfg = _load_run_config(args)
     if args.filter_len is not None:
         cfg = replace(cfg, filter_len=args.filter_len)
     records = compare_filtering(cfg, threads=args.threads)

@@ -25,7 +25,7 @@ import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -105,39 +105,43 @@ def _grid(read):
     return read_grid
 
 
-# The reader of each SimConfig field, in field order: it refuses a value of
-# the wrong kind and returns the value normalised.
-_FIELD_READERS = {
-    "runs": _whole,
-    "sim_length_s": finite_real,
-    "slot_s": finite_real,
-    "period_ms": _grid(_whole),
-    "n_nodes": _whole,
-    "n_active": _whole,
-    "p": _grid(finite_real),
-    "interference_rate": _grid(finite_real),
-    "filter_len": _whole,
-    "ideal_channel": _flag,
-    "master_seed": _whole,
-    "tx_power_dbm": finite_real,
-    "sensitivity_dbm": finite_real,
-    "shadow_std_db": finite_real,
-    "carrier_hz": finite_real,
-    "pathloss_exponent": finite_real,
-    "pathloss_ref_db": finite_real,
-    "area_m": finite_real,
-    "velocity_kmph": finite_real,
-}
+def _within(read, lo, hi=math.inf, *, above: bool = False):
+    """A reader of ``read``'s kind that refuses values outside [lo, hi], or (lo, hi] if ``above``."""
+    interval = f"{'(' if above else '['}{lo}, {hi}{']' if hi < math.inf else ')'}"
+
+    def read_within(key: str, value):
+        number = read(key, value)
+        if (lo < number if above else lo <= number) and number <= hi:
+            return number
+        raise ConfigError(f"config key {key!r} has invalid value {value!r}: outside {interval}")
+
+    return read_within
+
+
+def _key(default, read):
+    """A SimConfig field: its default and the reader that checks and normalises its value."""
+    return field(default=default, metadata={"read": read})
+
+
+_positive = _within(finite_real, 0, above=True)
+_unit_grid = _grid(_within(finite_real, 0, 1))
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Full experiment parameterization, checked on construction.
 
+    Each field declares its default and its reader, which refuses a value
+    of the wrong kind or outside the key's range and names the key. The
+    readers run in field order on construction; then three checks that
+    tie two keys together: n_active <= n_nodes, sensitivity_dbm below
+    tx_power_dbm, and each period_ms a whole number of slots that fits in
+    the run. Frozen: derive a variant with ``dataclasses.replace``, which
+    checks it again.
+
     Grid fields (period_ms, p, interference_rate) hold one or more values;
     sweeps cover their Cartesian product while single-run entry points
-    require singletons. Frozen: derive a variant with ``dataclasses.replace``,
-    which checks it again.
+    require singletons.
 
     The radio constants default to a 100 m x 100 m deployment of 10 uW
     (-20 dBm) nodes heard by a -104 dBm receiver at 2.4 GHz. The
@@ -147,66 +151,44 @@ class SimConfig:
     erase beeps.
     """
 
-    runs: int = 50
-    sim_length_s: float = 5.0
-    slot_s: float = 0.010
-    period_ms: tuple[int, ...] = DEFAULT_PERIOD_MS_GRID
-    n_nodes: int = 10
-    n_active: int = 5
-    p: tuple[float, ...] = DEFAULT_P_GRID
-    interference_rate: tuple[float, ...] = DEFAULT_IR_GRID
-    filter_len: int = 0
-    ideal_channel: bool = False
-    master_seed: int = 1
-    tx_power_dbm: float = -20.0
-    sensitivity_dbm: float = -104.0
-    shadow_std_db: float = 8.0
-    carrier_hz: float = 2.4e9
-    pathloss_exponent: float = 3.0
-    pathloss_ref_db: float = 40.05
-    area_m: float = 100.0
-    velocity_kmph: float = 3.0
+    runs: int = _key(50, _within(_whole, 1))
+    sim_length_s: float = _key(5.0, _positive)
+    slot_s: float = _key(0.010, _positive)
+    period_ms: tuple[int, ...] = _key(DEFAULT_PERIOD_MS_GRID, _grid(_within(_whole, 1)))
+    # Roster ids run from 1 to n_nodes, and a device id is a u64.
+    n_nodes: int = _key(10, _within(_whole, 1, MASK64))
+    n_active: int = _key(5, _within(_whole, 0))
+    p: tuple[float, ...] = _key(DEFAULT_P_GRID, _unit_grid)
+    interference_rate: tuple[float, ...] = _key(DEFAULT_IR_GRID, _unit_grid)
+    filter_len: int = _key(0, _within(_whole, 0))
+    ideal_channel: bool = _key(False, _flag)
+    master_seed: int = _key(1, _within(_whole, 0, MASK64))
+    tx_power_dbm: float = _key(-20.0, finite_real)
+    sensitivity_dbm: float = _key(-104.0, finite_real)
+    shadow_std_db: float = _key(8.0, _within(finite_real, 0))
+    carrier_hz: float = _key(2.4e9, _positive)
+    pathloss_exponent: float = _key(3.0, finite_real)
+    pathloss_ref_db: float = _key(40.05, finite_real)
+    area_m: float = _key(100.0, _positive)
+    velocity_kmph: float = _key(3.0, _within(finite_real, 0))
 
     def __post_init__(self) -> None:
-        for name, read in _FIELD_READERS.items():
-            object.__setattr__(self, name, read(name, getattr(self, name)))
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        # Roster ids run from 1 to n_nodes, and a device id is a u64.
-        if not 1 <= self.n_nodes <= MASK64:
-            raise ConfigError(f"n_nodes must be in [1, 2**64 - 1], got {self.n_nodes}")
-        if not 0 <= self.n_active <= self.n_nodes:
-            raise ConfigError("n_active must be in [0, n_nodes]")
-        if self.filter_len < 0:
-            raise ConfigError("filter_len must be >= 0")
-        if not 0 <= self.master_seed <= MASK64:
-            raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-        if self.slot_s <= 0:
-            raise ConfigError("slot_s must be positive")
-        if self.sim_length_s <= 0:
-            raise ConfigError("sim_length_s must be positive")
+        for key in fields(self):
+            value = key.metadata["read"](key.name, getattr(self, key.name))
+            object.__setattr__(self, key.name, value)
+        if self.n_active > self.n_nodes:
+            raise ConfigError(f"n_active {self.n_active} exceeds n_nodes {self.n_nodes}")
         if self.sensitivity_dbm >= self.tx_power_dbm:
-            raise ConfigError("sensitivity_dbm must sit below tx_power_dbm")
-        if self.shadow_std_db < 0.0:
-            raise ConfigError(f"shadow_std_db must be >= 0, got {self.shadow_std_db}")
-        if self.carrier_hz <= 0.0:
-            raise ConfigError(f"carrier_hz must be positive, got {self.carrier_hz}")
-        if self.area_m <= 0.0:
-            raise ConfigError(f"area_m must be positive, got {self.area_m}")
-        if self.velocity_kmph < 0.0:
-            raise ConfigError(f"velocity_kmph must be >= 0, got {self.velocity_kmph}")
-        for p in self.p:
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"beep probability {p} outside [0, 1]")
-        for rate in self.interference_rate:
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"interference rate {rate} outside [0, 1]")
+            raise ConfigError(
+                f"sensitivity_dbm {self.sensitivity_dbm} must sit below "
+                f"tx_power_dbm {self.tx_power_dbm}"
+            )
         for period_ms in self.period_ms:
             # Beyond the float range, period_ms would overflow the slot
             # arithmetic; it is longer than any run anyway.
             if period_ms > sys.float_info.max or self.periods_per_run(period_ms) < 1:
                 raise ConfigError(
-                    f"period_ms {period_ms} is longer than the {self.sim_length_s}s simulation"
+                    f"period_ms {period_ms} is longer than sim_length_s {self.sim_length_s}"
                 )
 
     def require_single_point(self) -> None:
@@ -221,10 +203,15 @@ class SimConfig:
 
     def slots_per_period(self, period_ms: int) -> int:
         slot_ms = self.slot_s * 1000.0
-        slots = int(round(period_ms / slot_ms))
+        ratio = period_ms / slot_ms
+        if not math.isfinite(ratio):
+            raise ConfigError(
+                f"period_ms {period_ms} overflows the slot count at slot_s {self.slot_s}"
+            )
+        slots = round(ratio)
         if slots < 1 or abs(slots * slot_ms - period_ms) > 1e-6:
             raise ConfigError(
-                f"period {period_ms}ms is not a whole number of {slot_ms}ms slots"
+                f"period_ms {period_ms} is not a whole number of slot_s {self.slot_s} slots"
             )
         return slots
 
@@ -234,7 +221,9 @@ class SimConfig:
         run_ms = self.sim_length_s * 1000.0
         ratio = run_ms / slot_ms
         if not math.isfinite(ratio):
-            raise ConfigError(f"simulation length {self.sim_length_s}s overflows the slot count")
+            raise ConfigError(
+                f"sim_length_s {self.sim_length_s} overflows the slot count at slot_s {self.slot_s}"
+            )
         slots = round(ratio)
         return slots if abs(slots * slot_ms - run_ms) <= 1e-6 else math.floor(ratio)
 
@@ -248,13 +237,13 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         """Flat JSON-ready form, one key per field in field order; grids as lists."""
-        values = ((name, getattr(self, name)) for name in _FIELD_READERS)
+        values = ((key.name, getattr(self, key.name)) for key in fields(self))
         return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
         """Build a config from the flat dict form, rejecting unknown keys."""
-        unknown = raw.keys() - _FIELD_READERS.keys()
+        unknown = raw.keys() - {key.name for key in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)

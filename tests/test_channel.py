@@ -158,6 +158,12 @@ def test_kernel_loader_falls_back_to_the_ordinary_import(monkeypatch):
 def test_doppler_clamped_to_unit_interval():
     # Past the first zero J0 goes negative; the correlation clamps at 0.
     assert doppler_correlation(100.0, 2.4e9, 0.010) >= 0.0
+    # An argument that overflows to inf, where j0 is NaN, takes J0's limit 0;
+    # a large finite one keeps j0's bits.
+    assert doppler_correlation(1e300, 2.4e9, 0.010) == 0.0
+    assert doppler_correlation(1e300, 1e300, 0.010) == 0.0
+    argument = 2.0 * math.pi * (1e290 / 3.6) * 2.4e9 / 2.99792458e8 * 0.010
+    assert doppler_correlation(1e290, 2.4e9, 0.010) == float(scipy.special.j0(argument)) > 0.0
     with pytest.raises(ValueError):
         doppler_correlation(-1.0, 2.4e9, 0.010)
 

@@ -1,9 +1,13 @@
 """CLI: subcommands, overrides, CSV schema, exit codes, determinism."""
 
 import argparse
+import dataclasses
+import errno
 import hashlib
 import json
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,7 +18,7 @@ from scipy.optimize import brentq
 
 import beepid.cli as cli
 from beepid.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from beepid.montecarlo import SimConfig
+from beepid.montecarlo import ConfigError, SimConfig
 
 BASE_CONFIG = {
     "runs": 2,
@@ -264,10 +268,43 @@ def test_period_beyond_the_float_range_is_a_config_error(config_path, capsys):
     assert err.startswith("config error:") and "period_ms" in err
 
 
-def test_runtime_error_exit_code(config_path, tmp_path):
-    missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
-    code = main(["sweep", "--config", config_path, "--out", str(missing_dir)])
+def test_runtime_error_exit_code(config_path, tmp_path, monkeypatch, capsys):
+    # A failure that no check of the config or options can foresee.
+    def disk_full(text, out_path):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_output", disk_full)
+    code = main(["sweep", "--config", config_path, "--out", str(tmp_path / "out.csv")])
     assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("runtime error:")
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"runs": 2, "note": "caf\xe9"}'.encode("latin-1"))
+    for path in (tmp_path, latin1):
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare-filter"])
+@pytest.mark.parametrize("option", ["--out", "--dump-config"])
+def test_output_path_is_checked_before_the_sweep(
+    config_path, tmp_path, monkeypatch, capsys, command, option
+):
+    # A missing directory or a directory in place of the file is refused
+    # before any work, so no CSV is left behind by a failed --dump-config.
+    monkeypatch.setattr(cli, "sweep", _refuse_sweep)
+    monkeypatch.setattr(cli, "compare_filtering", _refuse_sweep)
+    for bad in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path):
+        outputs = {"--out": str(tmp_path / "out.csv"), option: str(bad)}
+        args = [command, "--config", config_path]
+        args += [text for pair in outputs.items() for text in pair]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and option in err and str(bad) in err
+    assert sorted(tmp_path.iterdir()) == [Path(config_path)]
 
 
 def test_effective_config_round_trips(config_path, tmp_path):
@@ -377,6 +414,19 @@ def test_filter_len_option_is_checked_like_the_config_key(config_path, capsys, f
     assert "filter_len" in capsys.readouterr().err
 
 
+def test_overflowing_doppler_argument_runs_as_an_uncorrelated_channel(config_path, tmp_path):
+    # At 1e300 km/h the J0 argument overflows to inf and the correlation is
+    # J0's limit 0, as it is clamped to at 30 km/h (J0(4.19) < 0).
+    csvs = []
+    for velocity in ("1e300", "30"):
+        out_path = tmp_path / f"{velocity}.csv"
+        overrides = ["--set", "ideal_channel=false", "--set", f"velocity_kmph={velocity}"]
+        args = ["simulate", "--config", config_path, *overrides, "--out", str(out_path)]
+        assert main(args) == EXIT_OK
+        csvs.append(out_path.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 @pytest.mark.parametrize("key", ["sim_length_s", "p", "tx_power_dbm"])
 @pytest.mark.parametrize(
     "value", [True, "5", None, [[0.5]], math.nan, math.inf, -math.inf], ids=repr
@@ -387,6 +437,109 @@ def test_config_value_of_another_kind_is_refused(tmp_path, capsys, key, value):
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(key) in err
+
+
+def _bound(key, accepted, refused, **others):
+    """A row: the config at one of ``key``'s bounds, and the first config past it."""
+    return pytest.param(
+        {**others, key: accepted}, {**others, key: refused}, (key,), id=f"{key}={refused!r}"
+    )
+
+
+TINY = math.ulp(0.0)
+HUGE = sys.float_info.max
+
+# One row per bound of every SimConfig key: the value at the bound is
+# accepted and the first value past it is refused, naming the key. An open
+# bound (> 0) is refused at 0; sim_length_s and slot_s are then accepted at
+# the least value the 100 ms period allows. A key of one kind only is
+# bounded by the float range or by its kind.
+CONFIG_BOUNDS = [
+    _bound("runs", 1, 0),
+    _bound("sim_length_s", 0.1, 0.0),
+    _bound("slot_s", 0.1, 0.0),
+    _bound("period_ms", 1, 0, slot_s=0.001),
+    _bound("period_ms", 1, -100, slot_s=0.001),
+    _bound("n_nodes", 1, 0, n_active=1),
+    _bound("n_nodes", 2**64 - 1, 2**64),
+    _bound("n_active", 0, -1),
+    _bound("p", 0.0, -TINY),
+    _bound("p", 1.0, math.nextafter(1.0, 2.0)),
+    _bound("interference_rate", 0.0, -TINY),
+    _bound("interference_rate", 1.0, math.nextafter(1.0, 2.0)),
+    _bound("filter_len", 0, -1),
+    _bound("ideal_channel", False, 0),
+    _bound("master_seed", 0, -1),
+    _bound("master_seed", 2**64 - 1, 2**64),
+    _bound("tx_power_dbm", HUGE, math.inf),
+    _bound("sensitivity_dbm", -HUGE, -math.inf),
+    _bound("shadow_std_db", 0.0, -TINY),
+    _bound("carrier_hz", TINY, 0.0),
+    _bound("pathloss_exponent", -HUGE, -math.inf),
+    _bound("pathloss_exponent", HUGE, math.inf),
+    _bound("pathloss_ref_db", -HUGE, -math.inf),
+    _bound("pathloss_ref_db", HUGE, math.inf),
+    _bound("area_m", TINY, 0.0),
+    _bound("velocity_kmph", 0.0, -TINY),
+    # The three checks that tie two keys; BASE_CONFIG has 100 ms periods of
+    # 10 ms slots and a -20 dBm transmit power.
+    pytest.param(
+        {"n_nodes": 3, "n_active": 3},
+        {"n_nodes": 3, "n_active": 4},
+        ("n_active", "n_nodes"),
+        id="n_active>n_nodes",
+    ),
+    pytest.param(
+        {"sensitivity_dbm": math.nextafter(-20.0, -math.inf)},
+        {"sensitivity_dbm": -20.0},
+        ("sensitivity_dbm", "tx_power_dbm"),
+        id="sensitivity_dbm>=tx_power_dbm",
+    ),
+    pytest.param(
+        {"sim_length_s": 0.1},
+        {"sim_length_s": 0.1 - 2e-9},
+        ("period_ms", "sim_length_s"),
+        id="period_ms>run",
+    ),
+    pytest.param(
+        {"slot_s": 0.1}, {"slot_s": 0.1 + 2e-9}, ("period_ms", "slot_s"), id="period_ms%slot_s"
+    ),
+]
+
+
+def test_config_bounds_cover_every_key():
+    covered = {key for row in CONFIG_BOUNDS if len(row.values[2]) == 1 for key in row.values[2]}
+    assert covered == {key.name for key in dataclasses.fields(SimConfig)}
+
+
+@pytest.mark.parametrize("accepted, refused, named", CONFIG_BOUNDS)
+def test_config_bound_is_accepted_and_the_value_past_it_refused(
+    config_path, monkeypatch, capsys, accepted, refused, named
+):
+    seen = []
+    monkeypatch.setattr(cli, "sweep", lambda cfg, threads: seen.append(cfg) or [])
+
+    def cli_run(overrides):
+        args = ["simulate", "--config", config_path]
+        for key, value in overrides.items():
+            args += ["--set", f"{key}={_set_text(value, False)}"]
+        return main(args)
+
+    cfg = SimConfig(**{**BASE_CONFIG, **accepted})
+    assert SimConfig.from_dict({**BASE_CONFIG, **accepted}) == cfg
+    for key, value in accepted.items():
+        assert cfg.to_dict()[key] in (value, [value])
+    assert cli_run(accepted) == EXIT_OK and seen == [cfg]
+
+    for build in (SimConfig, lambda **raw: SimConfig.from_dict(raw)):
+        with pytest.raises(ConfigError) as refusal:
+            build(**{**BASE_CONFIG, **refused})
+        assert all(re.search(rf"\b{key}\b", str(refusal.value)) for key in named)
+    capsys.readouterr()
+    assert cli_run(refused) == EXIT_CONFIG and seen == [cfg]
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert all(re.search(rf"\b{key}\b", err) for key in named)
 
 
 def _real_lists(lo, hi):
