@@ -50,6 +50,13 @@ def _miss_all(n: int, p: float) -> float:
     return math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
 
 
+def _survives(x: float, slots: int) -> float:
+    """(1 - x)^slots as exp(slots * log1p(-x)), accurate for a small x and many slots."""
+    if x == 1.0:
+        return 0.0 if slots else 1.0
+    return math.exp(slots * math.log1p(-x))
+
+
 def coverage_prob(n: int, p: float, k: int) -> float:
     """Probability that k fixed slots are each covered by at least one of n beepers.
 
@@ -71,10 +78,7 @@ def false_id_prob(n: int, p: float, T: int) -> float:
     _check_n(n)
     _check_p(p)
     _check_count("period length T", T)
-    x = p * _miss_all(n, p)
-    if x == 0.0:
-        return 1.0
-    return math.exp(T * math.log1p(-x))
+    return _survives(p * _miss_all(n, p), T)
 
 
 def false_id_prob_given_union(
@@ -94,12 +98,7 @@ def false_id_prob_given_union(
     _check_p(p)
     _check_p(r)
     _check_count("window w", window)
-    x = p * _miss_all(window, r)
-    if x == 0.0 or covered == T:
-        return 1.0
-    if x == 1.0:
-        return 0.0
-    return math.exp((T - covered) * math.log1p(-x))
+    return _survives(p * _miss_all(window, r), T - covered)
 
 
 def optimal_p(n: int) -> float:

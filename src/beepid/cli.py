@@ -140,27 +140,28 @@ def _write_output(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text, newline="")
 
 
-def _check_output_path(option: str, path: str | None) -> None:
-    """Refuse, before any work, an output path that cannot be a file in an existing directory."""
-    if path is not None and (Path(path).is_dir() or not Path(path).absolute().parent.is_dir()):
-        raise ConfigError(f"{option} {path} is not a file in an existing directory")
+def _gnuplot_path(out_path: str | None) -> Path:
+    """Where ``--emit-gnuplot`` writes its script: beside the CSV file."""
+    if out_path is None:
+        raise ConfigError("--emit-gnuplot needs --out: the script plots the CSV file")
+    return Path(out_path).with_suffix(".gp")
 
 
 def _load_run_config(args: argparse.Namespace) -> SimConfig:
-    """Check the output paths, then read the config: both are refused before any sweep."""
-    _check_output_path("--out", args.out)
-    _check_output_path("--dump-config", args.dump_config)
+    """Read the config once every output is a file in an existing directory, each its own."""
+    outputs = [("--out", args.out), ("--dump-config", args.dump_config)]
+    if getattr(args, "emit_gnuplot", False):
+        outputs.append(("--emit-gnuplot", _gnuplot_path(args.out)))
+    claimed: dict[Path, str] = {}
+    for option, path in outputs:
+        if path is None:
+            continue
+        if Path(path).is_dir() or not Path(path).absolute().parent.is_dir():
+            raise ConfigError(f"{option} {path} is not a file in an existing directory")
+        owner = claimed.setdefault(Path(path).resolve(), option)
+        if owner != option:
+            raise ConfigError(f"{option} {path} would overwrite the {owner} file")
     return load_config(args.config, args.set or [], args.seed)
-
-
-def _gnuplot_path(out_path: str | None) -> Path:
-    """Where ``--emit-gnuplot`` writes its script: beside the CSV file, never over it."""
-    if out_path is None:
-        raise ConfigError("--emit-gnuplot needs --out: the script plots the CSV file")
-    script = Path(out_path).with_suffix(".gp")
-    if script == Path(out_path):
-        raise ConfigError(f"--emit-gnuplot would overwrite the CSV {out_path} with its script")
-    return script
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -196,12 +197,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    script = _gnuplot_path(args.out) if args.emit_gnuplot else None
     cfg = _load_run_config(args)
     records = sweep(cfg, threads=args.threads)
     _write_output(metrics_csv(records), args.out)
-    if script is not None:
-        script.write_text(GNUPLOT_TEMPLATE.format(csv=Path(args.out).name))
+    if args.emit_gnuplot:
+        _gnuplot_path(args.out).write_text(GNUPLOT_TEMPLATE.format(csv=Path(args.out).name))
     _maybe_dump_config(cfg, args)
     return EXIT_OK
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
@@ -184,9 +183,7 @@ class SimConfig:
                 f"tx_power_dbm {self.tx_power_dbm}"
             )
         for period_ms in self.period_ms:
-            # Beyond the float range, period_ms would overflow the slot
-            # arithmetic; it is longer than any run anyway.
-            if period_ms > sys.float_info.max or self.periods_per_run(period_ms) < 1:
+            if self.periods_per_run(period_ms) < 1:
                 raise ConfigError(
                     f"period_ms {period_ms} is longer than sim_length_s {self.sim_length_s}"
                 )
@@ -201,35 +198,35 @@ class SimConfig:
                     f"has {count} values (sweep covers a grid)"
                 )
 
-    def slots_per_period(self, period_ms: int) -> int:
+    def _slots(self, key: str, span: float, unit_ms: float = 1.0) -> tuple[int, bool]:
+        """Slots in ``span`` units of ``unit_ms`` ms, and whether they fill it to within 1e-6 ms.
+
+        The count is rounded when they do and floored otherwise. A span beyond
+        the float range and a count no array can hold are refused, naming ``key``.
+        """
         slot_ms = self.slot_s * 1000.0
-        ratio = period_ms / slot_ms
-        if not math.isfinite(ratio):
-            raise ConfigError(
-                f"period_ms {period_ms} overflows the slot count at slot_s {self.slot_s}"
-            )
-        slots = round(ratio)
-        if slots < 1 or abs(slots * slot_ms - period_ms) > 1e-6:
+        slots = limit = np.iinfo(np.intp).max
+        with suppress(OverflowError, ValueError):  # a span or ratio beyond the float range
+            span_ms = span * unit_ms
+            ratio = span_ms / slot_ms
+            slots = round(ratio)
+        if slots >= limit:
+            raise ConfigError(f"{key} {span} overflows the slot count at slot_s {self.slot_s}")
+        whole = abs(slots * slot_ms - span_ms) <= 1e-6
+        return (slots, True) if whole else (math.floor(ratio), False)
+
+    def slots_per_period(self, period_ms: int) -> int:
+        slots, whole = self._slots("period_ms", period_ms)
+        if slots < 1 or not whole:
             raise ConfigError(
                 f"period_ms {period_ms} is not a whole number of slot_s {self.slot_s} slots"
             )
         return slots
 
-    def slots_per_run(self) -> int:
-        """Whole slots in one run, counted with slots_per_period's 1e-6 ms tolerance."""
-        slot_ms = self.slot_s * 1000.0
-        run_ms = self.sim_length_s * 1000.0
-        ratio = run_ms / slot_ms
-        if not math.isfinite(ratio):
-            raise ConfigError(
-                f"sim_length_s {self.sim_length_s} overflows the slot count at slot_s {self.slot_s}"
-            )
-        slots = round(ratio)
-        return slots if abs(slots * slot_ms - run_ms) <= 1e-6 else math.floor(ratio)
-
     def periods_per_run(self, period_ms: int) -> int:
         """Complete periods in one run; the trailing partial period is dropped."""
-        return self.slots_per_run() // self.slots_per_period(period_ms)
+        run_slots, _ = self._slots("sim_length_s", self.sim_length_s, 1000.0)
+        return run_slots // self.slots_per_period(period_ms)
 
     def roster(self) -> tuple[int, ...]:
         """The candidate universe: the receiver knows and tests every id."""

@@ -16,8 +16,8 @@ from beepid.analysis import (
     optimal_p,
 )
 from beepid.fingerprint import generate_pattern
-from beepid.identify import identify
-from beepid.montecarlo import SimConfig, sweep
+from beepid.identify import filter_apply, identify, uncovered
+from beepid.montecarlo import SimConfig, run_seed_for, simulate_run_traces, sweep
 
 
 def test_coverage_trivial_cases():
@@ -143,6 +143,56 @@ def test_false_id_given_union_matches_the_ideal_channel_sweep():
     assert abs(record.fp / n_silent - expected) <= 3 * se
     # The ensemble formula averages over the union and does not describe this roster.
     assert abs(record.fp / n_silent - false_id_prob(n_active, p, t_slots)) > 3 * se
+
+
+@pytest.mark.parametrize(
+    "ideal_channel, rate, filter_len",
+    [(True, 0.2, 0), (True, 0.05, 3), (False, 0.05, 3)],
+    ids=["ideal-r0.2", "ideal-m3", "fading-3kmh-m3"],
+)
+def test_false_id_given_union_predicts_the_sweep(ideal_channel, rate, filter_len):
+    # Period k observes the OR of the last w_k = min(k, m) traces, whose
+    # channel part covers U_k slots; a silent id, independent of that union,
+    # survives with probability false_id_prob_given_union(T, U_k, p, r, w_k).
+    # Averaged over runs and periods, that predicts the sweep's FP rate. The
+    # silent ids of a period share its interference draws, and a window
+    # shares them with its neighbours, so the standard error is clustered by
+    # run: runs are the independent draws, ids and periods are not.
+    n_active, n_silent, p = 5, 20_000, 0.2
+    cfg = SimConfig(
+        runs=40,
+        sim_length_s=1.0,
+        period_ms=(100,),
+        p=(p,),
+        interference_rate=(rate,),
+        n_nodes=n_active + n_silent,
+        n_active=n_active,
+        filter_len=filter_len,
+        ideal_channel=ideal_channel,
+        velocity_kmph=3.0,
+    )
+    (record,) = sweep(cfg)
+    t_slots, n_periods = cfg.slots_per_period(100), cfg.periods_per_run(100)
+    patterns = generate_pattern(cfg.roster(), p, t_slots)
+    windows = np.minimum(np.arange(1, n_periods + 1), max(filter_len, 1))
+    false_hits, predicted, naive = [], [], []
+    for run in range(cfg.runs):
+        seed = run_seed_for(cfg, 0, 0, run)
+        heard, draws = simulate_run_traces(cfg, patterns[:n_active], n_periods, seed)
+        observed = filter_apply(heard | (draws < rate), filter_len)
+        false_hits.append((~uncovered(observed, patterns[n_active:])).sum(axis=1))
+        union = filter_apply(heard, filter_len).sum(axis=1)
+        for u, w in zip(union.tolist(), windows.tolist()):
+            predicted.append(false_id_prob_given_union(t_slots, u, p, rate, w))
+            naive.append(false_id_prob_given_union(t_slots, u, p))
+    false_hits = np.array(false_hits)
+    assert false_hits.sum() == record.fp
+    per_run = false_hits.mean(axis=1) / n_silent
+    residual = per_run - np.reshape(predicted, (cfg.runs, -1)).mean(axis=1)
+    se = residual.std(ddof=1) / math.sqrt(cfg.runs)
+    assert abs(residual.mean()) <= 4 * se
+    # The rate and the window both count: the same unions without them miss.
+    assert abs(per_run.mean() - np.mean(naive)) > 4 * se
 
 
 def test_optimal_p_direct_values():

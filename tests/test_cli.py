@@ -268,6 +268,14 @@ def test_period_beyond_the_float_range_is_a_config_error(config_path, capsys):
     assert err.startswith("config error:") and "period_ms" in err
 
 
+def test_slot_count_no_array_can_hold_is_a_config_error(config_path, capsys):
+    # 1e-300 s slots would put 1e299 slots in a period, which no array can
+    # hold: refused before the sweep instead of failing its allocation.
+    assert main(["simulate", "--config", config_path, "--set", "slot_s=1e-300"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "slot_s" in err
+
+
 def test_runtime_error_exit_code(config_path, tmp_path, monkeypatch, capsys):
     # A failure that no check of the config or options can foresee.
     def disk_full(text, out_path):
@@ -304,6 +312,28 @@ def test_output_path_is_checked_before_the_sweep(
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and option in err and str(bad) in err
+    assert sorted(tmp_path.iterdir()) == [Path(config_path)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare-filter"])
+def test_two_outputs_on_one_file_are_refused_before_the_sweep(
+    config_path, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setattr(cli, "sweep", _refuse_sweep)
+    monkeypatch.setattr(cli, "compare_filtering", _refuse_sweep)
+    # Spelt differently, the same file is still the same output.
+    args = [command, "--config", config_path, "--out", str(tmp_path / "out.csv")]
+    assert main(args + ["--dump-config", str(tmp_path / "." / "out.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--dump-config" in err and "--out" in err
+    assert sorted(tmp_path.iterdir()) == [Path(config_path)]
+
+
+def test_dumped_config_never_overwrites_the_gnuplot_script(config_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sweep", _refuse_sweep)
+    args = ["sweep", "--config", config_path, "--out", str(tmp_path / "plot.csv"), "--emit-gnuplot"]
+    assert main(args + ["--dump-config", str(tmp_path / "plot.gp")]) == EXIT_CONFIG
+    assert "overwrite" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [Path(config_path)]
 
 

@@ -305,6 +305,22 @@ def test_periods_per_run_counts_whole_slots():
         _point_cfg(sim_length_s=1e306)
 
 
+def test_slot_counts_beyond_what_an_array_holds_are_refused():
+    # A period too long for the float range, and a slot so short that the
+    # run's count passes the largest array index, name the key and slot_s.
+    for kwargs, key in (
+        ({"period_ms": (10**400,)}, "period_ms"),
+        ({"slot_s": 1e-300}, "sim_length_s"),
+    ):
+        with pytest.raises(ConfigError, match=rf"{key} .* overflows the slot count at slot_s"):
+            _point_cfg(**kwargs)
+    # 2^62 one-second slots are counted; 2^63 passes the largest array index.
+    cfg = _point_cfg(slot_s=1.0, period_ms=(1000,), sim_length_s=2.0**62)
+    assert cfg.periods_per_run(1000) == 2**62
+    with pytest.raises(ConfigError, match="sim_length_s"):
+        dataclasses.replace(cfg, sim_length_s=2.0**63)
+
+
 def test_direct_construction_checks_int_and_bool_fields():
     with pytest.raises(ConfigError, match="runs"):
         _point_cfg(runs=2.5)
