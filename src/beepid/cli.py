@@ -7,7 +7,8 @@ commands read a flat JSON config (same keys as SimConfig.to_dict),
 accept ``--set key=value`` overrides (comma lists for grids), and emit
 schema-stable CSV.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error (usage errors included),
+2 runtime error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from .analysis import false_id_prob, optimal_p, optimal_T, optimal_T_exact
 from .montecarlo import (
@@ -67,6 +69,11 @@ def compare_csv(records: list[FilterComparison]) -> str:
             f"{_fmt(r.tp_gain)},{_fmt(r.tn_loss)},{_fmt(r.net)}"
         )
     return "\n".join(lines) + "\n"
+
+
+def config_json(cfg: SimConfig) -> str:
+    """The effective config as ``--dump-config`` writes it; ``--config`` reads it back."""
+    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 GNUPLOT_TEMPLATE = """\
@@ -133,35 +140,12 @@ def load_config(path: str, overrides: list[str], seed: int | None) -> SimConfig:
     return SimConfig.from_dict(raw)
 
 
-def _write_output(text: str, out_path: str | None) -> None:
+def _write_output(text: str, out_path: str | Path | None) -> None:
+    """The one writer of every CLI output: the file at ``out_path``, or stdout."""
     if out_path is None:
         sys.stdout.write(text)
     else:
         Path(out_path).write_text(text, newline="")
-
-
-def _gnuplot_path(out_path: str | None) -> Path:
-    """Where ``--emit-gnuplot`` writes its script: beside the CSV file."""
-    if out_path is None:
-        raise ConfigError("--emit-gnuplot needs --out: the script plots the CSV file")
-    return Path(out_path).with_suffix(".gp")
-
-
-def _load_run_config(args: argparse.Namespace) -> SimConfig:
-    """Read the config once every output is a file in an existing directory, each its own."""
-    outputs = [("--out", args.out), ("--dump-config", args.dump_config)]
-    if getattr(args, "emit_gnuplot", False):
-        outputs.append(("--emit-gnuplot", _gnuplot_path(args.out)))
-    claimed: dict[Path, str] = {}
-    for option, path in outputs:
-        if path is None:
-            continue
-        if Path(path).is_dir() or not Path(path).absolute().parent.is_dir():
-            raise ConfigError(f"{option} {path} is not a file in an existing directory")
-        owner = claimed.setdefault(Path(path).resolve(), option)
-        if owner != option:
-            raise ConfigError(f"{option} {path} would overwrite the {owner} file")
-    return load_config(args.config, args.set or [], args.seed)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -187,43 +171,54 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    cfg.require_single_point()
-    records = sweep(cfg, threads=args.threads)
-    _write_output(metrics_csv(records), args.out)
-    _maybe_dump_config(cfg, args)
-    return EXIT_OK
+def cmd_run(args: argparse.Namespace) -> int:
+    """simulate, sweep and compare-filter: one Monte-Carlo, three views of it.
 
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    records = sweep(cfg, threads=args.threads)
-    _write_output(metrics_csv(records), args.out)
+    Every output must be a file in an existing directory, each its own, before
+    the config is read; the gnuplot script goes beside the CSV. The CSV, the
+    script and the config are written in that order once the run is done.
+    """
+    gnuplot = None
     if args.emit_gnuplot:
-        _gnuplot_path(args.out).write_text(GNUPLOT_TEMPLATE.format(csv=Path(args.out).name))
-    _maybe_dump_config(cfg, args)
-    return EXIT_OK
-
-
-def cmd_compare_filter(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+        if args.out is None:
+            raise ConfigError("--emit-gnuplot needs --out: the script plots the CSV file")
+        gnuplot = Path(args.out).with_suffix(".gp")
+    outputs = {"--out": args.out, "--dump-config": args.dump_config, "--emit-gnuplot": gnuplot}
+    claimed: dict[Path, str] = {}
+    for option, path in outputs.items():
+        if path is None:
+            continue
+        if Path(path).is_dir() or not Path(path).absolute().parent.is_dir():
+            raise ConfigError(f"{option} {path} is not a file in an existing directory")
+        owner = claimed.setdefault(Path(path).resolve(), option)
+        if owner != option:
+            raise ConfigError(f"{option} {path} would overwrite the {owner} file")
+    cfg = load_config(args.config, args.set or [], args.seed)
     if args.filter_len is not None:
         cfg = replace(cfg, filter_len=args.filter_len)
-    records = compare_filtering(cfg, threads=args.threads)
-    _write_output(compare_csv(records), args.out)
-    _maybe_dump_config(cfg, args)
+    if args.command == "simulate":
+        cfg.require_single_point()
+    if args.command == "compare-filter":
+        csv = compare_csv(compare_filtering(cfg, threads=args.threads))
+    else:
+        csv = metrics_csv(sweep(cfg, threads=args.threads))
+    _write_output(csv, args.out)
+    if gnuplot is not None:
+        _write_output(GNUPLOT_TEMPLATE.format(csv=Path(args.out).name), gnuplot)
+    if args.dump_config is not None:
+        _write_output(config_json(cfg), args.dump_config)
     return EXIT_OK
 
 
-def _maybe_dump_config(cfg: SimConfig, args: argparse.Namespace) -> None:
-    if args.dump_config:
-        text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
-        Path(args.dump_config).write_text(text)
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error (exit 1), not with argparse's exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beepid",
         description="Beep-pattern device identification: analysis and simulation.",
     )
@@ -255,11 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--dump-config", default=None, help="write the effective config JSON here"
     )
+    common.set_defaults(func=cmd_run, emit_gnuplot=False, filter_len=None)
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[common], help="run a single parameter point"
-    )
-    p_sim.set_defaults(func=cmd_simulate)
+    sub.add_parser("simulate", parents=[common], help="run a single parameter point")
 
     p_sw = sub.add_parser("sweep", parents=[common], help="run the full parameter grid")
     p_sw.add_argument(
@@ -267,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write a companion gnuplot script next to the CSV",
     )
-    p_sw.set_defaults(func=cmd_sweep)
 
     p_cf = sub.add_parser(
         "compare-filter",
@@ -277,14 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument(
         "--filter-len", type=int, default=None, help="filter window length m"
     )
-    p_cf.set_defaults(func=cmd_compare_filter)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

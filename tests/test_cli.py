@@ -1,6 +1,5 @@
 """CLI: subcommands, overrides, CSV schema, exit codes, determinism."""
 
-import argparse
 import dataclasses
 import errno
 import hashlib
@@ -276,15 +275,48 @@ def test_slot_count_no_array_can_hold_is_a_config_error(config_path, capsys):
     assert err.startswith("config error:") and "slot_s" in err
 
 
-def test_runtime_error_exit_code(config_path, tmp_path, monkeypatch, capsys):
-    # A failure that no check of the config or options can foresee.
+@pytest.mark.parametrize("failing", ["out.csv", "out.gp", "effective.json"])
+def test_runtime_error_exit_code(config_path, tmp_path, monkeypatch, capsys, failing):
+    # A failure that no check of the config or options can foresee, on
+    # whichever output it strikes: each is written through _write_output.
+    write_output = cli._write_output
+
     def disk_full(text, out_path):
-        raise OSError(errno.ENOSPC, "No space left on device")
+        if Path(out_path).name == failing:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_output(text, out_path)
 
     monkeypatch.setattr(cli, "_write_output", disk_full)
-    code = main(["sweep", "--config", config_path, "--out", str(tmp_path / "out.csv")])
+    args = ["sweep", "--config", config_path, "--out", str(tmp_path / "out.csv"), "--emit-gnuplot"]
+    code = main(args + ["--dump-config", str(tmp_path / "effective.json")])
     assert code == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("runtime error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--config", str(DEFAULT_CONFIG), "--threads", "x"],
+        ["simulate"],
+        ["analyze", "--n", "x"],
+        ["compare-filter", "--config", str(DEFAULT_CONFIG), "--filter-len", "1.5"],
+        ["bogus"],
+    ],
+    ids=["threads=x", "no-config", "n=x", "filter-len=1.5", "unknown-command"],
+)
+def test_usage_error_is_a_config_error(monkeypatch, capsys, args):
+    # argparse's own exit 2 would read as a runtime error; no run may start.
+    monkeypatch.setattr(cli, "load_config", _refuse_sweep)
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: beepid")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["sweep", "--help"])
+    assert done.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: beepid sweep")
 
 
 def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
@@ -611,7 +643,7 @@ def test_config_round_trips_through_dict_and_dump(cfg):
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
     with tempfile.TemporaryDirectory() as tmp:
         dumped = str(Path(tmp) / "effective.json")
-        cli._maybe_dump_config(cfg, argparse.Namespace(dump_config=dumped))
+        cli._write_output(cli.config_json(cfg), dumped)
         assert cli.load_config(dumped, [], None) == cfg
 
 
