@@ -6,8 +6,8 @@ square, plus a static per-node log-normal shadowing term, plus the
 instantaneous Rayleigh fast-fading gain ``20 log10|g|``, compared against
 the receiver sensitivity (``link_budget_dbm``, ``rx_power_dbm``,
 ``detect``). Every function takes arrays, one row per node, so the
-Monte-Carlo harness only draws the randomness, filters the fading in time
-blocks and combines the flags. Fading evolves slot to slot as a
+Monte-Carlo harness only draws the randomness, filters the fading in
+tiles and combines the flags. Fading evolves slot to slot as a
 first-order autoregressive complex Gaussian whose correlation follows the
 Clarke/Jakes zeroth-order Bessel law of the node's Doppler frequency, so
 fades span multiple consecutive slots at pedestrian speeds. External
@@ -167,21 +167,24 @@ def rx_power_dbm(gains: np.ndarray, budget_dbm) -> np.ndarray:
     return rx_dbm
 
 
-def detect(gains: np.ndarray, budget_dbm, cfg: SimConfig, out=None) -> np.ndarray:
-    """Carrier sense per (node, slot): received power >= the sensitivity.
-
-    Writes the flags into the bool array ``out`` when given, and returns them.
-    """
-    return np.greater_equal(rx_power_dbm(gains, budget_dbm), cfg.sensitivity_dbm, out=out)
+def detect(gains: np.ndarray, budget_dbm, cfg: SimConfig) -> np.ndarray:
+    """Carrier sense per (node, slot): received power >= the sensitivity."""
+    return rx_power_dbm(gains, budget_dbm) >= cfg.sensitivity_dbm
 
 
 def standard_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Complex Gaussians with unit mean power (variance 1/2 per component).
 
-    All real parts are drawn before all imaginary parts. Each part is
-    scaled straight into the complex result, so no complex temporaries are
-    built; the values equal ``(a + 1j*b) / sqrt(2)``, which numpy evaluates
-    as a multiply of each part by 1/sqrt(2).
+    All real parts are drawn before all imaginary parts, each in C order
+    (for a (nodes, slots) shape: node-major). A numpy Generator draws
+    ``standard_normal`` values one by one from its stream, so the same
+    stream split into consecutive draws yields the same values: a caller
+    may draw the real parts whole and then the imaginary parts piece by
+    piece in that order, as ``montecarlo.simulate_run_traces`` does for a
+    run's fading noise. Each part is scaled straight into the complex
+    result, so no complex temporaries are built; the values equal
+    ``(a + 1j*b) / sqrt(2)``, which numpy evaluates as a multiply of each
+    part by 1/sqrt(2).
     """
     out = np.empty(shape, dtype=np.complex128)
     draw = rng.standard_normal(out.shape)

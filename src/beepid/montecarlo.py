@@ -31,6 +31,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .channel import (
+    _INV_SQRT2,
     detect,
     doppler_correlation,
     link_budget_dbm,
@@ -49,8 +50,9 @@ DEFAULT_IR_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 _STREAM_CHANNEL = 1
 _STREAM_INTERFERENCE = 2
 
-# Slots of fading realised and thresholded at a time, which bounds the
-# float temporaries of the link budget whatever the run length.
+# Node-slots of fading realised and thresholded at a time (one tile, see
+# simulate_run_traces), which bounds the complex noise and the float
+# temporaries of the link budget whatever the run length.
 _BLOCK_SLOTS = 1 << 14
 
 
@@ -304,10 +306,23 @@ def simulate_run_traces(
     active node, and ``draws``, the uniform draw per slot that puts
     interference in the slot when it falls below the rate. Both have shape
     (n_periods, t_slots); a rate's traces are ``heard | (draws < rate)``.
+
+    The fading noise is the (n_active, n_periods * t_slots) complex normals
+    of ``standard_complex_normal``, whose stream yields every real part,
+    node-major, before any imaginary part, also node-major. So the real
+    parts are drawn whole (8 bytes per node-slot), and the imaginary parts
+    are drawn tile by tile in stream order, each tile filtered and
+    thresholded at once, its AR(1) gains continuing from the previous tile
+    of the same nodes. A tile is ``max(1, _BLOCK_SLOTS // run slots)``
+    whole node rows when rows are that short, and otherwise
+    ``max(1, _BLOCK_SLOTS // t_slots)`` whole periods of one node's row: it
+    always holds whole periods, which AND with the pattern rows directly.
+    No run-length complex array exists.
     """
     n_active, t_slots = active_patterns.shape
+    n_slots = n_periods * t_slots
     rng_intf = default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE))
-    draws = rng_intf.random(n_periods * t_slots).reshape(n_periods, t_slots)
+    draws = rng_intf.random(n_slots).reshape(n_periods, t_slots)
     if cfg.ideal_channel or n_active == 0:
         return np.broadcast_to(active_patterns.any(axis=0), draws.shape), draws
 
@@ -316,20 +331,30 @@ def simulate_run_traces(
     shadows = rng_channel.normal(0.0, cfg.shadow_std_db, size=cfg.n_nodes)
     rho = doppler_correlation(cfg.velocity_kmph, cfg.carrier_hz, cfg.slot_s)
     gain = standard_complex_normal(rng_channel, n_active)
-    # Drawn whole: the stream yields every real part before any imaginary one.
-    noise = standard_complex_normal(rng_channel, (n_active, n_periods * t_slots))
+    real = rng_channel.standard_normal((n_active, n_slots))
 
     budget_dbm = link_budget_dbm(positions[:n_active], shadows[:n_active], cfg)[:, None]
-    above = np.empty(noise.shape, dtype=bool)
-    for start in range(0, noise.shape[1], _BLOCK_SLOTS):
-        block = slice(start, start + _BLOCK_SLOTS)
-        gains = rayleigh_sequence(gain, rho, noise[:, block])
-        gain = gains[:, -1]
-        detect(gains, budget_dbm, cfg, out=above[:, block])
-
-    detected = above.reshape(n_active, n_periods, t_slots)
-    detected &= active_patterns[:, None, :]
-    return detected.any(axis=0), draws
+    rows = min(n_active, max(1, _BLOCK_SLOTS // n_slots))
+    periods = min(n_periods, max(1, _BLOCK_SLOTS // t_slots))
+    noise_buffer = np.empty(rows * periods * t_slots, dtype=np.complex128)
+    heard = np.zeros((n_periods, t_slots), dtype=bool)
+    for row in range(0, n_active, rows):
+        nodes = slice(row, row + rows)
+        g = gain[nodes]
+        for period in range(0, n_periods, periods):
+            span = slice(period, period + periods)
+            parts = real[nodes, span.start * t_slots : span.stop * t_slots]
+            noise = noise_buffer[: parts.size].reshape(parts.shape)
+            np.multiply(parts, _INV_SQRT2, out=noise.real)
+            # Scaled, the tile's real parts are spent: their slots take its imaginary ones.
+            rng_channel.standard_normal(out=parts)
+            np.multiply(parts, _INV_SQRT2, out=noise.imag)
+            gains = rayleigh_sequence(g, rho, noise)
+            g = gains[:, -1]
+            flags = detect(gains, budget_dbm[nodes], cfg).reshape(len(g), -1, t_slots)
+            flags &= active_patterns[nodes, None, :]
+            heard[span] |= flags.any(axis=0)
+    return heard, draws
 
 
 def score_traces(

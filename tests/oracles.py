@@ -210,7 +210,9 @@ def ref_realise_run(cfg, active_patterns: np.ndarray, n_periods: int, run_seed: 
     with np.errstate(divide="ignore"):
         fade_db = 20.0 * np.log10(np.abs(gains))
     rx_dbm = (cfg.tx_power_dbm - pl + shadows[:n_active])[:, None] + fade_db
-    above = (rx_dbm >= cfg.sensitivity_dbm).reshape(n_active, n_periods, t_slots)
+    above = rx_dbm >= cfg.sensitivity_dbm
+    above |= cfg.ideal_channel  # an ideal channel delivers every beep
+    above = above.reshape(n_active, n_periods, t_slots)
     heard = (active_patterns[:, None, :] & above).any(axis=0)
     return heard, draws.reshape(n_periods, t_slots)
 

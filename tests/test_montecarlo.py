@@ -3,10 +3,11 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import ref_pattern_bits, ref_pattern_slots, ref_realise_run, ref_score_traces
@@ -382,7 +383,43 @@ def test_realisation_memory_is_bounded_per_node_slot():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * cfg.n_active * n_slots
+    assert peak <= 12 * cfg.n_active * n_slots
+
+
+@st.composite
+def _tiled_runs(draw):
+    n_active = draw(st.integers(0, 8))
+    cfg = SimConfig(
+        n_nodes=max(n_active, 1),
+        n_active=n_active,
+        velocity_kmph=draw(st.sampled_from([0.0, 3.0, 120.0])),
+        ideal_channel=draw(st.booleans()),
+    )
+    patterns = draw(arrays(np.bool_, (n_active, draw(st.integers(1, 20)))))
+    n_periods = draw(st.integers(1, 30))
+    return draw(st.integers(3, 64)), cfg, patterns, n_periods, draw(st.integers(0, 2**64 - 1))
+
+
+def _tiled_run(block_slots: int, n_active: int, t_slots: int, n_periods: int):
+    cfg = SimConfig(n_active=n_active)
+    patterns = generate_pattern(cfg.roster()[:n_active], 0.5, t_slots)
+    return block_slots, cfg, patterns, n_periods, 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tiled_runs())
+# Rows of 20 slots, 3 to a tile: row groups of 3, 3 and 2.
+@example(_tiled_run(64, n_active=8, t_slots=5, n_periods=4))
+# Rows of 35 slots split into tiles of 3, 3 and 1 periods.
+@example(_tiled_run(16, n_active=2, t_slots=5, n_periods=7))
+# Periods of 20 slots, longer than a tile: one period per tile.
+@example(_tiled_run(3, n_active=3, t_slots=20, n_periods=2))
+def test_tiled_realisation_matches_single_block_oracle(case):
+    block_slots, cfg, patterns, n_periods, run_seed = case
+    with mock.patch.object(montecarlo, "_BLOCK_SLOTS", block_slots):
+        heard, draws = simulate_run_traces(cfg, patterns, n_periods, run_seed)
+    ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
+    assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
 
 
 def _ref_patterns(ids, p: float, t_slots: int) -> np.ndarray:
