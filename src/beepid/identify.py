@@ -15,11 +15,17 @@ robustness (deep fades) against false positives on busy channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fingerprint import DeviceId, generate_pattern
+
+# Slots handled at a time: trace slots per coverage tile here, and node-slots
+# per fading tile and per batch of runs in montecarlo. It bounds the float
+# temporaries of both whatever the run length.
+_BLOCK_SLOTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -42,11 +48,24 @@ def uncovered(observed: np.ndarray, patterns: np.ndarray) -> np.ndarray:
 
     ``observed`` holds traces of shape (..., T) and ``patterns`` the ids'
     patterns, shape (n_ids, T); an id is identified exactly where this is
-    False. One boolean matrix product tests every trace and id at once.
+    False. A float32 matrix product counts each trace's unobserved beep
+    slots per id, ``_BLOCK_SLOTS // T`` whole traces (at least one) at a
+    time. The test is exact for any T: every addend is 0 or 1, so a sum is
+    positive exactly when one addend is 1, and rounding cannot take a
+    positive sum of non-negative terms to 0.
     """
-    # Boolean rather than float: a float product goes through BLAS, whose
-    # worker threads spin on a second core during long runs.
-    return ~observed @ patterns.T
+    # Tiles rather than one product: on small rosters each stays under
+    # OpenBLAS's single-thread threshold, so no BLAS worker spins on a second
+    # core, and the float temporaries stay bounded whatever the trace count.
+    n_slots = observed.shape[-1]
+    traces = observed.reshape(math.prod(observed.shape[:-1]), n_slots)
+    weights = patterns.T.astype(np.float32)
+    missed = np.empty((len(traces), weights.shape[-1]), dtype=bool)
+    step = max(1, _BLOCK_SLOTS // max(n_slots, 1))
+    for start in range(0, len(traces), step):
+        tile = np.subtract(1, traces[start : start + step], dtype=np.float32)
+        np.greater(tile @ weights, 0, out=missed[start : start + step])
+    return missed.reshape(observed.shape[:-1] + missed.shape[-1:])
 
 
 def identify(observed, candidates, p: float) -> IdSet:

@@ -39,7 +39,7 @@ from .channel import (
     standard_complex_normal,
 )
 from .fingerprint import MASK64, derive_seed, generate_pattern
-from .identify import filter_apply, uncovered
+from .identify import _BLOCK_SLOTS, filter_apply, uncovered
 from .identify import filter_push, identify  # noqa: F401 - perfbench/child.py wraps them here
 
 DEFAULT_PERIOD_MS_GRID = (50, 100, 150, 200, 500, 1000)
@@ -49,11 +49,6 @@ DEFAULT_IR_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 # Substream tags hung off each run seed.
 _STREAM_CHANNEL = 1
 _STREAM_INTERFERENCE = 2
-
-# Node-slots of fading realised and thresholded at a time (one tile, see
-# simulate_run_traces), which bounds the complex noise and the float
-# temporaries of the link budget whatever the run length.
-_BLOCK_SLOTS = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -298,62 +293,82 @@ def _draw_layout(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def simulate_run_traces(
-    cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seed: int
+    cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Realise one run's channel, which every interference rate shares.
+    """Realise the channel of a batch of runs, which every interference rate shares.
 
     Returns ``heard``, the slots in which the receiver senses at least one
     active node, and ``draws``, the uniform draw per slot that puts
     interference in the slot when it falls below the rate. Both have shape
-    (n_periods, t_slots); a rate's traces are ``heard | (draws < rate)``.
+    (len(run_seeds), n_periods, t_slots), one row per seed in order; a
+    rate's traces are ``heard | (draws < rate)``.
 
-    The fading noise is the (n_active, n_periods * t_slots) complex normals
-    of ``standard_complex_normal``, whose stream yields every real part,
-    node-major, before any imaginary part, also node-major. So the real
-    parts are drawn whole (8 bytes per node-slot), and the imaginary parts
-    are drawn tile by tile in stream order, each tile filtered and
-    thresholded at once, its AR(1) gains continuing from the previous tile
-    of the same nodes. A tile is ``max(1, _BLOCK_SLOTS // run slots)``
-    whole node rows when rows are that short, and otherwise
-    ``max(1, _BLOCK_SLOTS // t_slots)`` whole periods of one node's row: it
-    always holds whole periods, which AND with the pattern rows directly.
-    No run-length complex array exists.
+    Each run draws from its own two generators in the same order whatever
+    the batch. A run's fading noise is the (n_active, n_periods * t_slots)
+    complex normals of ``standard_complex_normal``, whose stream yields
+    every real part, node-major, before any imaginary part, also
+    node-major. So the real parts are drawn whole (8 bytes per node-slot),
+    and the imaginary parts are drawn tile by tile in stream order, each
+    tile filtered and thresholded at once, its AR(1) gains continuing from
+    the previous tile of the same nodes. A tile is
+    ``max(1, _BLOCK_SLOTS // (n_active * run slots))`` whole runs when runs
+    are that short: the link budget, the filter, the threshold and the OR
+    into ``heard`` then run once over all their (run, node) rows. A longer
+    run is tiled alone, in ``max(1, _BLOCK_SLOTS // run slots)`` whole
+    node rows when rows are that short and otherwise in
+    ``max(1, _BLOCK_SLOTS // t_slots)`` whole periods of one node's row: a
+    tile always holds whole periods, which AND with the pattern rows
+    directly. No run-length complex array exists, but the real parts of
+    every given run are held at once: the caller bounds memory by the
+    seeds it passes.
     """
     n_active, t_slots = active_patterns.shape
-    n_slots = n_periods * t_slots
-    rng_intf = default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE))
-    draws = rng_intf.random(n_slots).reshape(n_periods, t_slots)
+    n_runs, n_slots = len(run_seeds), n_periods * t_slots
+    draws = np.empty((n_runs, n_periods, t_slots))
+    for run_seed, run_draws in zip(run_seeds, draws):
+        default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE)).random(out=run_draws)
     if cfg.ideal_channel or n_active == 0:
         return np.broadcast_to(active_patterns.any(axis=0), draws.shape), draws
 
-    rng_channel = default_rng(derive_seed(run_seed, _STREAM_CHANNEL))
-    positions = _draw_layout(cfg, rng_channel)
-    shadows = rng_channel.normal(0.0, cfg.shadow_std_db, size=cfg.n_nodes)
+    rngs = [default_rng(derive_seed(run_seed, _STREAM_CHANNEL)) for run_seed in run_seeds]
+    positions = np.empty((n_runs, n_active, 2))
+    shadows = np.empty((n_runs, n_active))
+    gain = np.empty((n_runs, n_active), dtype=np.complex128)
+    real = np.empty((n_runs, n_active, n_slots))
+    for run, rng in enumerate(rngs):
+        positions[run] = _draw_layout(cfg, rng)[:n_active]
+        shadows[run] = rng.normal(0.0, cfg.shadow_std_db, size=cfg.n_nodes)[:n_active]
+        gain[run] = standard_complex_normal(rng, n_active)
+        rng.standard_normal(out=real[run])
     rho = doppler_correlation(cfg.velocity_kmph, cfg.carrier_hz, cfg.slot_s)
-    gain = standard_complex_normal(rng_channel, n_active)
-    real = rng_channel.standard_normal((n_active, n_slots))
+    budget_dbm = link_budget_dbm(positions.reshape(-1, 2), shadows.reshape(-1), cfg)
+    budget_dbm = budget_dbm.reshape(n_runs, n_active, 1)
 
-    budget_dbm = link_budget_dbm(positions[:n_active], shadows[:n_active], cfg)[:, None]
+    runs = max(1, _BLOCK_SLOTS // (n_active * n_slots))
     rows = min(n_active, max(1, _BLOCK_SLOTS // n_slots))
     periods = min(n_periods, max(1, _BLOCK_SLOTS // t_slots))
-    noise_buffer = np.empty(rows * periods * t_slots, dtype=np.complex128)
-    heard = np.zeros((n_periods, t_slots), dtype=bool)
-    for row in range(0, n_active, rows):
-        nodes = slice(row, row + rows)
-        g = gain[nodes]
-        for period in range(0, n_periods, periods):
-            span = slice(period, period + periods)
-            parts = real[nodes, span.start * t_slots : span.stop * t_slots]
-            noise = noise_buffer[: parts.size].reshape(parts.shape)
-            np.multiply(parts, _INV_SQRT2, out=noise.real)
-            # Scaled, the tile's real parts are spent: their slots take its imaginary ones.
-            rng_channel.standard_normal(out=parts)
-            np.multiply(parts, _INV_SQRT2, out=noise.imag)
-            gains = rayleigh_sequence(g, rho, noise)
-            g = gains[:, -1]
-            flags = detect(gains, budget_dbm[nodes], cfg).reshape(len(g), -1, t_slots)
-            flags &= active_patterns[nodes, None, :]
-            heard[span] |= flags.any(axis=0)
+    noise_buffer = np.empty(min(n_runs, runs) * rows * periods * t_slots, dtype=np.complex128)
+    heard = np.zeros((n_runs, n_periods, t_slots), dtype=bool)
+    for first in range(0, n_runs, runs):
+        batch = slice(first, first + runs)
+        for row in range(0, n_active, rows):
+            nodes = slice(row, row + rows)
+            g = gain[batch, nodes].reshape(-1)
+            for period in range(0, n_periods, periods):
+                span = slice(period, period + periods)
+                parts = real[batch, nodes, span.start * t_slots : span.stop * t_slots]
+                noise = noise_buffer[: parts.size].reshape(parts.shape)
+                np.multiply(parts, _INV_SQRT2, out=noise.real)
+                # Scaled, the tile's real parts are spent: their slots take its imaginary ones.
+                for rng, run_parts in zip(rngs[batch], parts):
+                    rng.standard_normal(out=run_parts)
+                np.multiply(parts, _INV_SQRT2, out=noise.imag)
+                gains = rayleigh_sequence(g, rho, noise.reshape(len(g), -1))
+                g = gains[:, -1]
+                flags = detect(gains, budget_dbm[batch, nodes].reshape(-1, 1), cfg)
+                flags = flags.reshape(parts.shape[:2] + (-1, t_slots))
+                flags &= active_patterns[nodes, None, :]
+                heard[batch, span] |= flags.any(axis=1)
     return heard, draws
 
 
@@ -391,22 +406,29 @@ def score_traces(
 def _point_counts(task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]]) -> np.ndarray:
     """Counts of one (period index, p index) grid cell, summed over the given run seeds.
 
-    Each run's channel is realised once and observed at every configured
-    interference rate. Returns int64 (tp, fn, tn, fp) counts of shape
-    (interference rates, filter lengths, 4).
+    The runs are realised and scored in batches of
+    ``max(1, _BLOCK_SLOTS // (n_active * run slots))`` seeds, which makes a
+    run longer than a fading tile a batch of its own. Each run's channel is
+    realised once and observed at every configured interference rate.
+    Returns int64 (tp, fn, tn, fp) counts of shape (interference rates,
+    filter lengths, 4).
     """
     cfg, ti, pi, run_seeds, filter_lens = task
     period_ms = cfg.period_ms[ti]
-    patterns = generate_pattern(cfg.roster(), cfg.p[pi], cfg.slots_per_period(period_ms))
+    t_slots = cfg.slots_per_period(period_ms)
+    patterns = generate_pattern(cfg.roster(), cfg.p[pi], t_slots)
     n_periods = cfg.periods_per_run(period_ms)
-    rates = np.array(cfg.interference_rate)[:, None, None]
+    rates = np.array(cfg.interference_rate)[:, None, None, None]
     counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
-    for run_seed in run_seeds:
-        heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], n_periods, run_seed)
-        counts += score_traces(patterns, heard | (draws < rates), cfg.n_active, filter_lens)
-        # Freed before the next run realises its channel: holding them across
+    batch = max(1, _BLOCK_SLOTS // (max(cfg.n_active, 1) * n_periods * t_slots))
+    for first in range(0, len(run_seeds), batch):
+        seeds = run_seeds[first : first + batch]
+        heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], n_periods, seeds)
+        traces = heard | (draws < rates)
+        counts += score_traces(patterns, traces, cfg.n_active, filter_lens).sum(axis=1)
+        # Freed before the next batch realises its channel: holding them across
         # the realisation fragments the heap and raises peak memory.
-        del heard, draws
+        del heard, draws, traces
     return counts
 
 

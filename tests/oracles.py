@@ -2,7 +2,8 @@
 
 Everything here is deliberately written against different machinery than
 the package (a Python-int SplitMix64 stepped word by word and a scorer on
-int bit masks instead of uint64 and bool arrays, a direct Taylor series
+int bit masks instead of uint64 and bool arrays, one boolean coverage
+product instead of float32 tiles, a direct Taylor series
 instead of scipy, whole-array complex arithmetic instead of blocked float
 pairs, a per-node, per-slot scalar radio instead of the array link budget)
 so the two sides of each check cannot share a bug.
@@ -79,6 +80,11 @@ def ref_score_traces(
             else:
                 fp, tn = fp + accepted, tn + (not accepted)
     return tp, fn, tn, fp
+
+
+def ref_uncovered(observed: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """The coverage rule as one boolean matrix product: True where an id has an unobserved beep."""
+    return ~observed @ patterns.T
 
 
 def bessel_j0_series(x: float) -> float:

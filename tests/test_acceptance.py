@@ -151,7 +151,7 @@ def test_acceptance_5_interference_direction():
             active = np.array([ref_pattern_slots(i, p, t_slots) for i in active_ids], bool)
             for run_index in range(cfg.runs):
                 seed = run_seed_for(cfg, ti, pi, run_index)
-                heard, draws = simulate_run_traces(cfg, active, cfg.periods_per_run(t_ms), seed)
+                (heard,), (draws,) = simulate_run_traces(cfg, active, cfg.periods_per_run(t_ms), [seed])
                 quiet, noisy = heard | (draws < 0.0), heard | (draws < 0.2)
                 cq = ref_score_traces(quiet, cfg.roster(), active_ids, p, 0)
                 cn = ref_score_traces(noisy, cfg.roster(), active_ids, p, 0)

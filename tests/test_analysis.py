@@ -178,7 +178,7 @@ def test_false_id_given_union_predicts_the_sweep(ideal_channel, rate, filter_len
     false_hits, predicted, naive = [], [], []
     for run in range(cfg.runs):
         seed = run_seed_for(cfg, 0, 0, run)
-        heard, draws = simulate_run_traces(cfg, patterns[:n_active], n_periods, seed)
+        (heard,), (draws,) = simulate_run_traces(cfg, patterns[:n_active], n_periods, [seed])
         observed = filter_apply(heard | (draws < rate), filter_len)
         false_hits.append((~uncovered(observed, patterns[n_active:])).sum(axis=1))
         union = filter_apply(heard, filter_len).sum(axis=1)

@@ -270,9 +270,9 @@ def test_detect_slot_silence():
     # are heard only in the slots they beep in.
     cfg = _run_cfg(area_m=2.0, shadow_std_db=0.0)
     silent = np.zeros((2, 10), dtype=bool)
-    heard, _ = simulate_run_traces(cfg, silent, 20, 1)
+    (heard,), _ = simulate_run_traces(cfg, silent, 20, [1])
     assert not heard.any()
-    heard, _ = simulate_run_traces(cfg, ~silent, 20, 1)
+    (heard,), _ = simulate_run_traces(cfg, ~silent, 20, [1])
     assert heard.all()
 
 
@@ -281,7 +281,7 @@ def test_detect_slot_interference_saturates():
     cfg = _run_cfg(n_nodes=3)
     silent = generate_pattern(cfg.roster()[: cfg.n_active], 0.0, 10)
     for seed in (1, 2):
-        heard, draws = simulate_run_traces(cfg, silent, 20, seed)
+        (heard,), (draws,) = simulate_run_traces(cfg, silent, 20, [seed])
         assert (heard | (draws < 1.0)).all()
         assert not (heard | (draws < 0.0)).any()
 
@@ -327,8 +327,8 @@ def test_union_monotone_in_beepers():
     one = both.copy()
     one[1] = False
     for seed in range(4):
-        heard_one, _ = simulate_run_traces(cfg, one, 20, seed)
-        heard_both, _ = simulate_run_traces(cfg, both, 20, seed)
+        (heard_one,), _ = simulate_run_traces(cfg, one, 20, [seed])
+        (heard_both,), _ = simulate_run_traces(cfg, both, 20, [seed])
         assert not (heard_one & ~heard_both).any()
 
 
@@ -358,7 +358,7 @@ def test_slot_outcome_invariant_holds():
     patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, 10)
     erased = 0
     for seed in (1, 7):
-        heard, draws = simulate_run_traces(cfg, patterns, cfg.periods_per_run(100), seed)
+        (heard,), (draws,) = simulate_run_traces(cfg, patterns, cfg.periods_per_run(100), [seed])
         traces = heard | (draws < 0.1)
         periods = ref_slot_by_slot_run(cfg, patterns, cfg.periods_per_run(100), seed, 0.1)
         assert len(traces) == len(periods)

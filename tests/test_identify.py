@@ -1,11 +1,20 @@
 """Subset identification and the OR-filter."""
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beepid.fingerprint import generate_pattern
 from beepid.identify import IdSet, filter_apply, filter_push, identify, uncovered
-from oracles import ref_pattern_bits, ref_pattern_slots
+from oracles import ref_pattern_bits, ref_pattern_slots, ref_uncovered
+
+# beepid re-exports the function ``identify``, so the module is fetched by path.
+identify_module = importlib.import_module("beepid.identify")
 
 
 def _trace(bits: int, t: int) -> np.ndarray:
@@ -57,6 +66,30 @@ def test_trace_length_mismatch_rejected():
     # identify scores one trace; a stack of them goes to the array scorer.
     with pytest.raises(ValueError):
         identify(np.ones((2, 8), dtype=bool), [1], 0.5)
+
+
+@st.composite
+def _coverage_cases(draw):
+    t_slots = draw(st.integers(1, 40))
+    lead = draw(st.lists(st.integers(0, 4), max_size=3))
+    traces = draw(st.sampled_from([st.booleans(), st.just(True)]))
+    observed = draw(arrays(np.bool_, (*lead, t_slots), elements=traces))
+    beeps = draw(st.sampled_from([st.booleans(), st.just(False)]))
+    patterns = draw(arrays(np.bool_, (draw(st.integers(0, 12)), t_slots), elements=beeps))
+    return draw(st.integers(1, 64)), observed, patterns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coverage_cases())
+# Tiles of 2 traces of 3 slots over 5 traces: tiles of 2, 2 and a short last one of 1.
+@example((8, np.arange(15).reshape(5, 3) % 4 > 0, generate_pattern(range(1, 7), 0.5, 3)))
+def test_tiled_coverage_matches_boolean_product(case):
+    block_slots, observed, patterns = case
+    with mock.patch.object(identify_module, "_BLOCK_SLOTS", block_slots):
+        missed = uncovered(observed, patterns)
+    assert missed.dtype == bool
+    assert np.array_equal(missed, ref_uncovered(observed, patterns))
+    assert missed.shape == observed.shape[:-1] + (len(patterns),)
 
 
 def test_idset_requires_subset():

@@ -152,7 +152,7 @@ def test_interference_only_adds_detections():
     patterns = generate_pattern(cfg.roster(), 0.3, 10)
     for run_index in range(8):
         seed = run_seed_for(cfg, 0, 0, run_index)
-        heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], 50, seed)
+        (heard,), (draws,) = simulate_run_traces(cfg, patterns[: cfg.n_active], 50, [seed])
         quiet, noisy = heard | (draws < 0.0), heard | (draws < 0.2)
         assert not (quiet & ~noisy).any()
         (tp_q, _, tn_q, _), (tp_n, _, tn_n, _) = score_traces(
@@ -168,7 +168,7 @@ def test_interference_fraction_matches_rate():
     ones = slots = 0
     for run_index in range(10):
         seed = run_seed_for(cfg, 0, 0, run_index)
-        heard, draws = simulate_run_traces(cfg, np.zeros((0, 10), dtype=bool), 50, seed)
+        (heard,), (draws,) = simulate_run_traces(cfg, np.zeros((0, 10), dtype=bool), 50, [seed])
         traces = heard | (draws < rate)
         ones += int(traces.sum())
         slots += traces.size
@@ -271,7 +271,7 @@ def test_channel_slot_duration_follows_sim_config():
     assert cfg.slots_per_period(100) == 20
     patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, 20)
     for run_seed in (1, 2):
-        heard, draws = simulate_run_traces(cfg, patterns, 50, run_seed)
+        (heard,), (draws,) = simulate_run_traces(cfg, patterns, 50, [run_seed])
         ref_heard, ref_draws = ref_realise_run(cfg, patterns, 50, run_seed)
         assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
 
@@ -368,7 +368,7 @@ def _multi_block_run(velocity_kmph: float, sim_length_s: float = 500.0):
 def test_blocked_realisation_matches_single_block_oracle(velocity_kmph):
     cfg, patterns, n_periods, _ = _multi_block_run(velocity_kmph)
     for run_seed in (1, 2**64 - 1):
-        heard, draws = simulate_run_traces(cfg, patterns, n_periods, run_seed)
+        (heard,), (draws,) = simulate_run_traces(cfg, patterns, n_periods, [run_seed])
         ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
         assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
 
@@ -379,7 +379,7 @@ def test_realisation_memory_is_bounded_per_node_slot():
     cfg, patterns, n_periods, n_slots = _multi_block_run(3.0, sim_length_s=3600.0)
     tracemalloc.start()
     try:
-        simulate_run_traces(cfg, patterns, n_periods, 1)
+        simulate_run_traces(cfg, patterns, n_periods, [1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -397,29 +397,34 @@ def _tiled_runs(draw):
     )
     patterns = draw(arrays(np.bool_, (n_active, draw(st.integers(1, 20)))))
     n_periods = draw(st.integers(1, 30))
-    return draw(st.integers(3, 64)), cfg, patterns, n_periods, draw(st.integers(0, 2**64 - 1))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=7))
+    return draw(st.integers(3, 64)), cfg, patterns, n_periods, seeds
 
 
-def _tiled_run(block_slots: int, n_active: int, t_slots: int, n_periods: int):
+def _tiled_run(block_slots: int, n_active: int, t_slots: int, n_periods: int, runs: int = 1):
     cfg = SimConfig(n_active=n_active)
     patterns = generate_pattern(cfg.roster()[:n_active], 0.5, t_slots)
-    return block_slots, cfg, patterns, n_periods, 7
+    return block_slots, cfg, patterns, n_periods, list(range(7, 7 + runs))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_tiled_runs())
 # Rows of 20 slots, 3 to a tile: row groups of 3, 3 and 2.
 @example(_tiled_run(64, n_active=8, t_slots=5, n_periods=4))
-# Rows of 35 slots split into tiles of 3, 3 and 1 periods.
-@example(_tiled_run(16, n_active=2, t_slots=5, n_periods=7))
+# Rows of 35 slots split into tiles of 3, 3 and 1 periods; each run is a batch of one.
+@example(_tiled_run(16, n_active=2, t_slots=5, n_periods=7, runs=3))
 # Periods of 20 slots, longer than a tile: one period per tile.
 @example(_tiled_run(3, n_active=3, t_slots=20, n_periods=2))
+# Runs of 2 x 10 node-slots, 3 to a tile: batches of 3, 3 and a short last one of 1.
+@example(_tiled_run(64, n_active=2, t_slots=5, n_periods=2, runs=7))
 def test_tiled_realisation_matches_single_block_oracle(case):
-    block_slots, cfg, patterns, n_periods, run_seed = case
+    block_slots, cfg, patterns, n_periods, seeds = case
     with mock.patch.object(montecarlo, "_BLOCK_SLOTS", block_slots):
-        heard, draws = simulate_run_traces(cfg, patterns, n_periods, run_seed)
-    ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
-    assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
+        heard, draws = simulate_run_traces(cfg, patterns, n_periods, seeds)
+    assert heard.shape == draws.shape == (len(seeds), n_periods, patterns.shape[1])
+    for run, run_seed in enumerate(seeds):
+        ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
+        assert np.array_equal(heard[run], ref_heard) and np.array_equal(draws[run], ref_draws)
 
 
 def _ref_patterns(ids, p: float, t_slots: int) -> np.ndarray:

@@ -65,7 +65,7 @@ def test_realisation_calls_the_fading_functions_through_module_globals(monkeypat
         monkeypatch.setattr(montecarlo, name, counted)
     cfg = montecarlo.SimConfig(runs=1, period_ms=(100,), p=(0.3,), interference_rate=(0.0,))
     patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, 10)
-    montecarlo.simulate_run_traces(cfg, patterns, cfg.periods_per_run(100), 1)
+    montecarlo.simulate_run_traces(cfg, patterns, cfg.periods_per_run(100), [1])
     assert calls["standard_complex_normal"] and calls["rayleigh_sequence"]
     # The tracer sizes the fading bytes from the positional noise block.
     for args, kwargs in calls["rayleigh_sequence"]:
@@ -86,14 +86,18 @@ def test_point_counts_call_the_traced_layers_through_module_globals(monkeypatch,
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, name, counted)
-    cfg = montecarlo.SimConfig(runs=2, period_ms=(100,), p=(0.3,), interference_rate=(0.0, 0.1))
+    # Runs of 5 nodes x 500 slots: 6 to a batch, so 14 runs make batches of 6, 6 and 2.
+    cfg = montecarlo.SimConfig(runs=14, period_ms=(100,), p=(0.3,), interference_rate=(0.0, 0.1))
     seeds = [montecarlo.run_seed_for(cfg, 0, 0, r) for r in range(cfg.runs)]
     montecarlo._point_counts((cfg, 0, 0, seeds, filter_lens))
-    assert len(calls["simulate_run_traces"]) == len(calls["score_traces"]) == cfg.runs
+    batches = [list(args[3]) for args in calls["simulate_run_traces"]]
+    assert [len(batch) for batch in batches] == [6, 6, 2]
+    assert [seed for batch in batches for seed in batch] == seeds
+    assert len(calls["score_traces"]) == len(batches)
     # filter_apply runs for real windows only, so that its span counts
     # calls on filtered workloads alone.
     windows = [m for m in filter_lens if m >= 2]
-    assert [args[1] for args in calls["filter_apply"]] == windows * cfg.runs
+    assert [args[1] for args in calls["filter_apply"]] == windows * len(batches)
 
 
 CLI_HOOKS = ("load_config", "sweep", "compare_filtering", "metrics_csv", "compare_csv")
