@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -22,9 +22,11 @@ import numpy as np
 
 from .fingerprint import DeviceId, generate_pattern
 
-# Slots handled at a time: trace slots per coverage tile here, and node-slots
-# per fading tile and per batch of runs in montecarlo. It bounds the float
-# temporaries of both whatever the run length.
+# The tile size. In montecarlo a batch of runs holds at most this many
+# node-slots (or one run), and its fading tiles span the batch in node rows or
+# periods. Here a coverage tile holds at most this many trace slots and its
+# product 16 times as many multiply-adds (or one trace): OpenBLAS's bound for
+# one thread. Both bound the float temporaries whatever the run length.
 _BLOCK_SLOTS = 1 << 14
 
 
@@ -49,19 +51,19 @@ def uncovered(observed: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     ``observed`` holds traces of shape (..., T) and ``patterns`` the ids'
     patterns, shape (n_ids, T); an id is identified exactly where this is
     False. A float32 matrix product counts each trace's unobserved beep
-    slots per id, ``_BLOCK_SLOTS // T`` whole traces (at least one) at a
-    time. The test is exact for any T: every addend is 0 or 1, so a sum is
-    positive exactly when one addend is 1, and rounding cannot take a
-    positive sum of non-negative terms to 0.
+    slots per id, in tiles of whole traces (at least one) of at most
+    ``_BLOCK_SLOTS`` slots and ``16 * _BLOCK_SLOTS`` multiply-adds. The
+    test is exact for any T: every addend is 0 or 1, so a sum is positive
+    exactly when one addend is 1, and rounding cannot take a positive sum
+    of non-negative terms to 0.
     """
-    # Tiles rather than one product: on small rosters each stays under
-    # OpenBLAS's single-thread threshold, so no BLAS worker spins on a second
-    # core, and the float temporaries stay bounded whatever the trace count.
+    # Tiles rather than one product: each stays under OpenBLAS's single-thread
+    # bound, so no BLAS worker spins on a second core, even in a pool worker.
     n_slots = observed.shape[-1]
     traces = observed.reshape(math.prod(observed.shape[:-1]), n_slots)
     weights = patterns.T.astype(np.float32)
     missed = np.empty((len(traces), weights.shape[-1]), dtype=bool)
-    step = max(1, _BLOCK_SLOTS // max(n_slots, 1))
+    step = max(1, 16 * _BLOCK_SLOTS // (max(n_slots, 1) * max(len(patterns), 16)))
     for start in range(0, len(traces), step):
         tile = np.subtract(1, traces[start : start + step], dtype=np.float32)
         np.greater(tile @ weights, 0, out=missed[start : start + step])

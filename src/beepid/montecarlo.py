@@ -310,24 +310,18 @@ def simulate_run_traces(
     node-major. So the real parts are drawn whole (8 bytes per node-slot),
     and the imaginary parts are drawn tile by tile in stream order, each
     tile filtered and thresholded at once, its AR(1) gains continuing from
-    the previous tile of the same nodes. A tile is
-    ``max(1, _BLOCK_SLOTS // (n_active * run slots))`` whole runs when runs
-    are that short: the link budget, the filter, the threshold and the OR
-    into ``heard`` then run once over all their (run, node) rows. A longer
-    run is tiled alone, in ``max(1, _BLOCK_SLOTS // run slots)`` whole
-    node rows when rows are that short and otherwise in
-    ``max(1, _BLOCK_SLOTS // t_slots)`` whole periods of one node's row: a
-    tile always holds whole periods, which AND with the pattern rows
-    directly. No run-length complex array exists, but the real parts of
-    every given run are held at once: the caller bounds memory by the
-    seeds it passes.
+    the previous tile of the same nodes. A tile spans every given run, in
+    whole node rows or else whole periods of one row, so it ANDs with the
+    pattern rows directly. No run-length complex array exists, but the real
+    parts of every given run are held at once: the caller decides, by the
+    seeds it passes, how many runs share a tile and how much memory they hold.
     """
     n_active, t_slots = active_patterns.shape
     n_runs, n_slots = len(run_seeds), n_periods * t_slots
     draws = np.empty((n_runs, n_periods, t_slots))
     for run_seed, run_draws in zip(run_seeds, draws):
         default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE)).random(out=run_draws)
-    if cfg.ideal_channel or n_active == 0:
+    if cfg.ideal_channel or n_active == 0 or n_runs == 0:
         return np.broadcast_to(active_patterns.any(axis=0), draws.shape), draws
 
     rngs = [default_rng(derive_seed(run_seed, _STREAM_CHANNEL)) for run_seed in run_seeds]
@@ -344,31 +338,28 @@ def simulate_run_traces(
     budget_dbm = link_budget_dbm(positions.reshape(-1, 2), shadows.reshape(-1), cfg)
     budget_dbm = budget_dbm.reshape(n_runs, n_active, 1)
 
-    runs = max(1, _BLOCK_SLOTS // (n_active * n_slots))
-    rows = min(n_active, max(1, _BLOCK_SLOTS // n_slots))
-    periods = min(n_periods, max(1, _BLOCK_SLOTS // t_slots))
-    noise_buffer = np.empty(min(n_runs, runs) * rows * periods * t_slots, dtype=np.complex128)
+    rows = min(n_active, max(1, _BLOCK_SLOTS // (n_runs * n_slots)))
+    periods = min(n_periods, max(1, _BLOCK_SLOTS // (n_runs * t_slots)))
+    noise_buffer = np.empty(n_runs * rows * periods * t_slots, dtype=np.complex128)
     heard = np.zeros((n_runs, n_periods, t_slots), dtype=bool)
-    for first in range(0, n_runs, runs):
-        batch = slice(first, first + runs)
-        for row in range(0, n_active, rows):
-            nodes = slice(row, row + rows)
-            g = gain[batch, nodes].reshape(-1)
-            for period in range(0, n_periods, periods):
-                span = slice(period, period + periods)
-                parts = real[batch, nodes, span.start * t_slots : span.stop * t_slots]
-                noise = noise_buffer[: parts.size].reshape(parts.shape)
-                np.multiply(parts, _INV_SQRT2, out=noise.real)
-                # Scaled, the tile's real parts are spent: their slots take its imaginary ones.
-                for rng, run_parts in zip(rngs[batch], parts):
-                    rng.standard_normal(out=run_parts)
-                np.multiply(parts, _INV_SQRT2, out=noise.imag)
-                gains = rayleigh_sequence(g, rho, noise.reshape(len(g), -1))
-                g = gains[:, -1]
-                flags = detect(gains, budget_dbm[batch, nodes].reshape(-1, 1), cfg)
-                flags = flags.reshape(parts.shape[:2] + (-1, t_slots))
-                flags &= active_patterns[nodes, None, :]
-                heard[batch, span] |= flags.any(axis=1)
+    for row in range(0, n_active, rows):
+        nodes = slice(row, row + rows)
+        g = gain[:, nodes].reshape(-1)
+        for period in range(0, n_periods, periods):
+            span = slice(period, period + periods)
+            parts = real[:, nodes, span.start * t_slots : span.stop * t_slots]
+            noise = noise_buffer[: parts.size].reshape(parts.shape)
+            np.multiply(parts, _INV_SQRT2, out=noise.real)
+            # Scaled, the tile's real parts are spent: their slots take its imaginary ones.
+            for rng, run_parts in zip(rngs, parts):
+                rng.standard_normal(out=run_parts)
+            np.multiply(parts, _INV_SQRT2, out=noise.imag)
+            gains = rayleigh_sequence(g, rho, noise.reshape(len(g), -1))
+            g = gains[:, -1]
+            flags = detect(gains, budget_dbm[:, nodes].reshape(-1, 1), cfg)
+            flags = flags.reshape(parts.shape[:2] + (-1, t_slots))
+            flags &= active_patterns[nodes, None, :]
+            heard[:, span] |= flags.any(axis=1)
     return heard, draws
 
 
@@ -407,9 +398,10 @@ def _point_counts(task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]]
     """Counts of one (period index, p index) grid cell, summed over the given run seeds.
 
     The runs are realised and scored in batches of
-    ``max(1, _BLOCK_SLOTS // (n_active * run slots))`` seeds, which makes a
-    run longer than a fading tile a batch of its own. Each run's channel is
-    realised once and observed at every configured interference rate.
+    ``max(1, _BLOCK_SLOTS // (n_active * run slots))`` seeds, the one rule
+    for how many runs share a fading tile: a run longer than a tile is a
+    batch of its own. Each run's channel is realised once and observed at
+    every configured interference rate.
     Returns int64 (tp, fn, tn, fp) counts of shape (interference rates,
     filter lengths, 4).
     """

@@ -293,6 +293,16 @@ def test_runtime_error_exit_code(config_path, tmp_path, monkeypatch, capsys, fai
     assert capsys.readouterr().err.startswith("runtime error:")
 
 
+def test_runtime_error_without_a_message_names_its_class(config_path, monkeypatch, capsys):
+    # An allocation that fails deep in numpy raises a MemoryError with no text.
+    def out_of_memory(cfg, threads):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "sweep", out_of_memory)
+    assert main(["sweep", "--config", config_path]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: MemoryError\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

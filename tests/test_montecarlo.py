@@ -1,8 +1,10 @@
 """Experiment harness: scoring, sweeps, determinism, pairing."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,8 @@ from beepid.montecarlo import (
     simulate_run_traces,
     sweep,
 )
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 def _point_cfg(**kwargs) -> SimConfig:
@@ -386,6 +390,45 @@ def test_realisation_memory_is_bounded_per_node_slot():
     assert peak <= 12 * cfg.n_active * n_slots
 
 
+def _fading_tiles(monkeypatch) -> list:
+    """The (rows, slots) shape of every tile that then goes through ``rayleigh_sequence``."""
+    shapes = []
+    realise = montecarlo.rayleigh_sequence
+
+    def logged(g0, rho, noise):
+        shapes.append(noise.shape)
+        return realise(g0, rho, noise)
+
+    monkeypatch.setattr(montecarlo, "rayleigh_sequence", logged)
+    return shapes
+
+
+def _default_cfg(**overrides) -> SimConfig:
+    return SimConfig.from_dict({**json.loads(DEFAULT_CONFIG.read_text()), **overrides})
+
+
+def test_filter_compare_grid_is_realised_in_one_tile_per_batch(monkeypatch):
+    # The benchmark's filter-compare-m6 grid. A cell's 10 runs of 5 x 500
+    # node-slots (495 at 150 ms periods) go in batches of 6 and 4 runs, each
+    # batch one tile.
+    tiles = _fading_tiles(monkeypatch)
+    compare_filtering(_default_cfg(runs=10, filter_len=6))
+    assert [rows for rows, _ in tiles] == [6 * 5, 4 * 5] * 30
+    assert {slots for _, slots in tiles} == {495, 500}
+
+
+def test_long_run_is_realised_in_period_spans_of_one_node_row(monkeypatch):
+    # The benchmark's long-run point: 3600 periods of 100 slots and 5 active
+    # nodes a run, each run a batch of its own. 163 periods fill a tile, so
+    # a node row goes in 22 spans of 163 periods and one of 14.
+    cfg = _default_cfg(
+        period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0, runs=2
+    )
+    tiles = _fading_tiles(monkeypatch)
+    montecarlo._point_counts((cfg, 0, 0, [1, 2], (0,)))
+    assert tiles == ([(1, 16300)] * 22 + [(1, 1400)]) * 5 * 2
+
+
 @st.composite
 def _tiled_runs(draw):
     n_active = draw(st.integers(0, 8))
@@ -397,7 +440,7 @@ def _tiled_runs(draw):
     )
     patterns = draw(arrays(np.bool_, (n_active, draw(st.integers(1, 20)))))
     n_periods = draw(st.integers(1, 30))
-    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=7))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), max_size=7))
     return draw(st.integers(3, 64)), cfg, patterns, n_periods, seeds
 
 
@@ -411,12 +454,16 @@ def _tiled_run(block_slots: int, n_active: int, t_slots: int, n_periods: int, ru
 @given(_tiled_runs())
 # Rows of 20 slots, 3 to a tile: row groups of 3, 3 and 2.
 @example(_tiled_run(64, n_active=8, t_slots=5, n_periods=4))
-# Rows of 35 slots split into tiles of 3, 3 and 1 periods; each run is a batch of one.
+# Three runs of rows of 35 slots: tiles of one row of the three, one period each.
 @example(_tiled_run(16, n_active=2, t_slots=5, n_periods=7, runs=3))
+# The same at twice the tile: spans of 2, 2, 2 and 1 periods.
+@example(_tiled_run(32, n_active=2, t_slots=5, n_periods=7, runs=3))
 # Periods of 20 slots, longer than a tile: one period per tile.
 @example(_tiled_run(3, n_active=3, t_slots=20, n_periods=2))
-# Runs of 2 x 10 node-slots, 3 to a tile: batches of 3, 3 and a short last one of 1.
+# Seven runs of 2 x 10 node-slots: tiles of one row of the seven, one period each.
 @example(_tiled_run(64, n_active=2, t_slots=5, n_periods=2, runs=7))
+# Two runs of 5 rows of 10 slots: whole rows of both, in groups of 3 and 2.
+@example(_tiled_run(64, n_active=5, t_slots=5, n_periods=2, runs=2))
 def test_tiled_realisation_matches_single_block_oracle(case):
     block_slots, cfg, patterns, n_periods, seeds = case
     with mock.patch.object(montecarlo, "_BLOCK_SLOTS", block_slots):
