@@ -1,0 +1,112 @@
+"""The byte contract on edge configs: the same CSV bytes at one and two threads.
+
+Each override set is an edge that a change to the tiling, the seeding or
+the scoring could move: a run of many fading tiles, a roster past the
+coverage tile's 16 ids, the ideal channel, no and all nodes active, p at
+0 and 1, slots that do not divide the default periods, a static and a fast
+channel, and a saturated one. The hashes were recorded before the tiling
+moved into ``montecarlo.tile_plan``; a change that keeps the contract
+leaves them as they are.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import beepid.montecarlo as montecarlo
+from beepid.cli import EXIT_OK, main
+from beepid.fingerprint import generate_pattern
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
+# SHA-256 of the sweep and the compare-filter --filter-len 6 CSVs of
+# configs/default.json at runs=2 under each override set.
+MATRIX_SHA256 = {
+    (): (
+        "21f069498826dc2cf7f85a51c18b9d763a36d9a9cf7dfe471aa6066cd0ac5c05",
+        "5e55ab3e82d431bab0fa9f11e604e40966add54eda32e45f7233f259ec4c3242",
+    ),
+    ("sim_length_s=600", "period_ms=100,1000", "p=0.3"): (
+        "440338b94cbc890d440e64bc0ee12017410c43b175f41247e209be2d797ea421",
+        "18ab2e1be01207c10597230d742ec241daa7a223252533ad6d9c98aba13f1e60",
+    ),
+    ("n_nodes=300",): (
+        "61cb8e72b570b955a622dca19dc4568eb384d15cd763568c290715de6ff939be",
+        "014034b6028b6e6993e69e35437519ca90cc50d74a3f4899b13899d89ead1b7b",
+    ),
+    ("ideal_channel=true",): (
+        "08b60a4e3ee208fe9f3130890e3b371f0e18e9e3a84a446da0123e8ed07ee68a",
+        "3fb3e386cb175ef5400f2680701c69b6b4fc8f3a9e33d51256ace446b599e647",
+    ),
+    ("n_active=0",): (
+        "9b1b542282a0b38f5c00b2c7bd5fcb86f1400ef1314ca34fa9b2db2e7ec5919d",
+        "1cda9841b0ef492a88476774b7d319ef038cb873ed9eeb8a4adf3cad7686ae60",
+    ),
+    ("n_active=10",): (
+        "335ef5c1bf5862fca602d4fb53f6a6de50bda570f0a49e4abc33e3d11f73876a",
+        "099ea8c79604bb19c91518653522a9aeb0591de551e85979514cb76954d97fb8",
+    ),
+    ("p=0,1",): (
+        "95c0273c861d711808473546ade5c9bcfc397b8f9c7258efeeecffcf471f6b3d",
+        "8d5e702631e5fa64a6f351e38acc437709fe02ef25e90dc0a92609b3f91de202",
+    ),
+    ("slot_s=0.005", "period_ms=70,130"): (
+        "7a6d7c90d919179e5070c30de9ca8ff1afcf4b9359d20da62eea16a92b047fc6",
+        "0144f2f1aa1b7dbee9b6e1e0fb284ed94df4ac98cd2a93e535db3550da15c052",
+    ),
+    ("velocity_kmph=0",): (
+        "c0dc003e7364978a101d9e6fa5227f9048a043916a75fb9baa7b83f631981c87",
+        "2178ff4707d19021aaa9387067c087497de36bea5451eef59b79ba00e5e0ec83",
+    ),
+    ("velocity_kmph=120", "interference_rate=1"): (
+        "6c6f428116e9e53bf153a5440cf85634437d2839cfe8966e998cfdb0740c8102",
+        "1556d8caae45b0df1555f0096a368ff471b167f3405d1a379b105f1f9d82233f",
+    ),
+}
+
+COMMANDS = {"sweep": [], "compare-filter": ["--filter-len", "6"]}
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("overrides", list(MATRIX_SHA256), ids=lambda o: " ".join(o) or "default")
+def test_edge_config_csv_bytes_are_pinned(tmp_path, overrides, command):
+    expected = MATRIX_SHA256[overrides][command == "compare-filter"]
+    for threads in ("1", "2"):
+        out_path = tmp_path / f"{threads}.csv"
+        args = [command, *COMMANDS[command], "--config", str(DEFAULT_CONFIG), "--set", "runs=2"]
+        for override in overrides:
+            args += ["--set", override]
+        assert main([*args, "--threads", threads, "--out", str(out_path)]) == EXIT_OK
+        assert _sha256(out_path.read_bytes()) == expected, f"--threads {threads}"
+
+
+# SHA-256 of each stage of one small fading cell, in the order the stages
+# run, so that a broken contract names the first stage that moved.
+STAGE_SHA256 = {
+    "patterns": "60a95a2e6bf880e9bb4f5856d65b8aca1ed91aea4f4d4bd9b2c7f61805e29b8e",
+    "interference draws": "4374a784bf676da323e5a1e48db4cba7205e43904206dd25d934b8375c10a7ab",
+    "heard": "7c7a635a92ec89d430b06e1f1f79229f2beb5de6bfe78833df26ce90588df6f8",
+    "counts": "d01cb446c0d92d7cf6fb4793cdd59a39af3e0b35bc37ef655eb98af8dab03e82",
+}
+
+
+def test_each_stage_of_a_fading_cell_is_pinned():
+    cfg = montecarlo.SimConfig(
+        runs=3, period_ms=(100,), p=(0.3,), interference_rate=(0.0, 0.1), sim_length_s=5.0
+    )
+    seeds = [montecarlo.run_seed_for(cfg, 0, 0, r) for r in range(cfg.runs)]
+    t_slots = cfg.slots_per_period(100)
+    patterns = generate_pattern(cfg.roster(), 0.3, t_slots)
+    heard, draws = montecarlo.simulate_run_traces(
+        cfg, patterns[: cfg.n_active], cfg.periods_per_run(100), seeds
+    )
+    counts = montecarlo._point_counts((cfg, 0, 0, seeds, (0, 3)))
+    stages = {"patterns": patterns, "interference draws": draws, "heard": heard, "counts": counts}
+    for stage, array in stages.items():
+        assert _sha256(np.ascontiguousarray(array).tobytes()) == STAGE_SHA256[stage], stage
