@@ -22,13 +22,6 @@ import numpy as np
 
 from .fingerprint import DeviceId, generate_pattern
 
-# The tile size. In montecarlo a batch of runs holds at most this many
-# node-slots (or one run), and its fading tiles span the batch in node rows or
-# periods. Here a coverage tile holds at most this many trace slots and its
-# product 16 times as many multiply-adds (or one trace): OpenBLAS's bound for
-# one thread. Both bound the float temporaries whatever the run length.
-_BLOCK_SLOTS = 1 << 14
-
 
 @dataclass(frozen=True)
 class IdSet:
@@ -45,25 +38,20 @@ class IdSet:
         return device_id in self.identified
 
 
-def uncovered(observed: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+def uncovered(observed: np.ndarray, patterns: np.ndarray, step: int = 1) -> np.ndarray:
     """True where an id has a beep slot that went unobserved, shape (..., n_ids).
 
     ``observed`` holds traces of shape (..., T) and ``patterns`` the ids'
     patterns, shape (n_ids, T); an id is identified exactly where this is
     False. A float32 matrix product counts each trace's unobserved beep
-    slots per id, in tiles of whole traces (at least one) of at most
-    ``_BLOCK_SLOTS`` slots and ``16 * _BLOCK_SLOTS`` multiply-adds. The
-    test is exact for any T: every addend is 0 or 1, so a sum is positive
-    exactly when one addend is 1, and rounding cannot take a positive sum
-    of non-negative terms to 0.
+    slots per id, in tiles of ``step`` whole traces (``montecarlo.tile_plan``
+    sizes them for the sweeps). The test is exact for any T and any step:
+    every addend is 0 or 1, so a sum is positive exactly when one addend is
+    1, and rounding cannot take a positive sum of non-negative terms to 0.
     """
-    # Tiles rather than one product: each stays under OpenBLAS's single-thread
-    # bound, so no BLAS worker spins on a second core, even in a pool worker.
-    n_slots = observed.shape[-1]
-    traces = observed.reshape(math.prod(observed.shape[:-1]), n_slots)
+    traces = observed.reshape(math.prod(observed.shape[:-1]), observed.shape[-1])
     weights = patterns.T.astype(np.float32)
     missed = np.empty((len(traces), weights.shape[-1]), dtype=bool)
-    step = max(1, 16 * _BLOCK_SLOTS // (max(n_slots, 1) * max(len(patterns), 16)))
     for start in range(0, len(traces), step):
         tile = np.subtract(1, traces[start : start + step], dtype=np.float32)
         np.greater(tile @ weights, 0, out=missed[start : start + step])

@@ -39,7 +39,7 @@ from .channel import (
     standard_complex_normal,
 )
 from .fingerprint import MASK64, derive_seed, generate_pattern
-from .identify import _BLOCK_SLOTS, filter_apply, uncovered
+from .identify import filter_apply, uncovered
 from .identify import filter_push, identify  # noqa: F401 - perfbench/child.py wraps them here
 
 DEFAULT_PERIOD_MS_GRID = (50, 100, 150, 200, 500, 1000)
@@ -50,13 +50,15 @@ DEFAULT_IR_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 _STREAM_CHANNEL = 1
 _STREAM_INTERFERENCE = 2
 
+_BLOCK_SLOTS = 1 << 14  # the tile size, which tile_plan alone reads
+
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent simulation configuration."""
 
 
 def finite_real(key: str, value) -> float:
-    """``value`` as a float when it is a finite real number.
+    """``value`` as a float when it is a finite real number; -0.0 reads as 0.0.
 
     Bools, strings, None, containers, NaN and infinities are refused, with
     the config key named; nothing is converted from another kind.
@@ -66,7 +68,7 @@ def finite_real(key: str, value) -> float:
         with suppress(OverflowError):  # an int beyond the float range
             number = float(value)
     if math.isfinite(number):
-        return number
+        return number + 0.0
     raise ConfigError(f"config key {key!r} has invalid value {value!r}: not a finite real number")
 
 
@@ -144,7 +146,7 @@ class SimConfig:
     log-distance exponent of 3.0 with a 40.05 dB reference loss at 1 m
     (free space, 2.4 GHz) describes a cluttered environment in which far
     nodes sit near or below the sensitivity floor, so fast fades routinely
-    erase beeps.
+    erase beeps. The dB constants' ranges keep every link budget finite.
     """
 
     runs: int = _key(50, _within(_whole, 1))
@@ -159,12 +161,12 @@ class SimConfig:
     filter_len: int = _key(0, _within(_whole, 0))
     ideal_channel: bool = _key(False, _flag)
     master_seed: int = _key(1, _within(_whole, 0, MASK64))
-    tx_power_dbm: float = _key(-20.0, finite_real)
-    sensitivity_dbm: float = _key(-104.0, finite_real)
-    shadow_std_db: float = _key(8.0, _within(finite_real, 0))
+    tx_power_dbm: float = _key(-20.0, _within(finite_real, -300, 300))
+    sensitivity_dbm: float = _key(-104.0, _within(finite_real, -300, 300))
+    shadow_std_db: float = _key(8.0, _within(finite_real, 0, 100))
     carrier_hz: float = _key(2.4e9, _positive)
-    pathloss_exponent: float = _key(3.0, finite_real)
-    pathloss_ref_db: float = _key(40.05, finite_real)
+    pathloss_exponent: float = _key(3.0, _within(finite_real, 0, 10))
+    pathloss_ref_db: float = _key(40.05, _within(finite_real, 0, 300))
     area_m: float = _key(100.0, _positive)
     velocity_kmph: float = _key(3.0, _within(finite_real, 0))
 
@@ -292,8 +294,28 @@ def _draw_layout(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.0, cfg.area_m, size=(cfg.n_nodes, 2))
 
 
+def tile_plan(n_active: int, n_ids: int, n_periods: int, t_slots: int) -> tuple[int, ...]:
+    """The one tile rule of a grid cell: ``(batch, rows, periods, traces)``.
+
+    Each tile holds at most ``_BLOCK_SLOTS`` slots, or else one whole run,
+    row, period or trace. A batch holds whole runs of active node-slots. A
+    fading tile spans the batch in whole node rows, or else in whole periods
+    of one row. A coverage tile holds whole traces, and its product takes at
+    most 16 times as many multiply-adds against the n_ids patterns:
+    OpenBLAS's bound for one thread, so no BLAS worker spins on a second
+    core, even in a pool worker. The sizes bound the float temporaries
+    whatever the run length; no size changes a byte.
+    """
+    run_slots = n_periods * t_slots
+    batch = max(1, _BLOCK_SLOTS // (max(n_active, 1) * run_slots))
+    rows = min(n_active, max(1, _BLOCK_SLOTS // (batch * run_slots)))
+    periods = min(n_periods, max(1, _BLOCK_SLOTS // (batch * t_slots)))
+    return batch, rows, periods, max(1, 16 * _BLOCK_SLOTS // (t_slots * max(n_ids, 16)))
+
+
 def simulate_run_traces(
-    cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seeds: Sequence[int]
+    cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seeds: Sequence[int],
+    plan: tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Realise the channel of a batch of runs, which every interference rate shares.
 
@@ -304,17 +326,14 @@ def simulate_run_traces(
     rate's traces are ``heard | (draws < rate)``.
 
     Each run draws from its own two generators in the same order whatever
-    the batch. A run's fading noise is the (n_active, n_periods * t_slots)
-    complex normals of ``standard_complex_normal``, whose stream yields
-    every real part, node-major, before any imaginary part, also
-    node-major. So the real parts are drawn whole (8 bytes per node-slot),
-    and the imaginary parts are drawn tile by tile in stream order, each
-    tile filtered and thresholded at once, its AR(1) gains continuing from
-    the previous tile of the same nodes. A tile spans every given run, in
-    whole node rows or else whole periods of one row, so it ANDs with the
-    pattern rows directly. No run-length complex array exists, but the real
-    parts of every given run are held at once: the caller decides, by the
-    seeds it passes, how many runs share a tile and how much memory they hold.
+    the batch. Its fading noise, the (n_active, n_periods * t_slots) complex
+    normals of ``standard_complex_normal``, yields every real part before
+    any imaginary part, both node-major. So the real parts of every given
+    run are drawn and held whole (8 bytes per node-slot), and the imaginary
+    parts are drawn in stream order, one fading tile of ``plan`` (by default
+    ``tile_plan`` of these shapes) at a time, each filtered, thresholded and
+    ANDed with its pattern rows at once, its AR(1) gains continuing from the
+    previous tile of the same nodes. No run-length complex array exists.
     """
     n_active, t_slots = active_patterns.shape
     n_runs, n_slots = len(run_seeds), n_periods * t_slots
@@ -338,8 +357,7 @@ def simulate_run_traces(
     budget_dbm = link_budget_dbm(positions.reshape(-1, 2), shadows.reshape(-1), cfg)
     budget_dbm = budget_dbm.reshape(n_runs, n_active, 1)
 
-    rows = min(n_active, max(1, _BLOCK_SLOTS // (n_runs * n_slots)))
-    periods = min(n_periods, max(1, _BLOCK_SLOTS // (n_runs * t_slots)))
+    _, rows, periods, _ = plan or tile_plan(n_active, n_active, n_periods, t_slots)
     noise_buffer = np.empty(n_runs * rows * periods * t_slots, dtype=np.complex128)
     heard = np.zeros((n_runs, n_periods, t_slots), dtype=bool)
     for row in range(0, n_active, rows):
@@ -364,10 +382,7 @@ def simulate_run_traces(
 
 
 def score_traces(
-    patterns: np.ndarray,
-    traces: np.ndarray,
-    n_active: int,
-    filter_lens: Sequence[int],
+    patterns: np.ndarray, traces: np.ndarray, n_active: int, filter_lens: Sequence[int], step=1
 ) -> np.ndarray:
     """Identify after every period and tally (tp, fn, tn, fp) for each filter length.
 
@@ -375,8 +390,8 @@ def score_traces(
     active ids first; ``traces`` holds per-period union traces, shape
     (..., n_periods, t_slots). With a filter length of 2 or more, each
     period is scored on the OR of the window accumulated so far, so every
-    period yields one identification event. Returns int64 counts of shape
-    (..., len(filter_lens), 4).
+    period yields one identification event, in coverage tiles of ``step``
+    traces. Returns int64 counts of shape (..., len(filter_lens), 4).
     """
     # A window under 2 leaves the traces as they are; skipping the call for
     # it keeps the benchmark's filter_apply span to filtered scoring.
@@ -384,7 +399,7 @@ def score_traces(
         [filter_apply(traces, m) if m >= 2 else traces for m in filter_lens], axis=-3
     )
     n_periods = traces.shape[-2]
-    accepted = n_periods - uncovered(observed, patterns).sum(axis=-2, dtype=np.int64)
+    accepted = n_periods - uncovered(observed, patterns, step).sum(axis=-2, dtype=np.int64)
     hits = accepted[..., :n_active].sum(axis=-1)
     false_hits = accepted[..., n_active:].sum(axis=-1)
     n_silent = len(patterns) - n_active
@@ -397,13 +412,10 @@ def score_traces(
 def _point_counts(task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]]) -> np.ndarray:
     """Counts of one (period index, p index) grid cell, summed over the given run seeds.
 
-    The runs are realised and scored in batches of
-    ``max(1, _BLOCK_SLOTS // (n_active * run slots))`` seeds, the one rule
-    for how many runs share a fading tile: a run longer than a tile is a
-    batch of its own. Each run's channel is realised once and observed at
-    every configured interference rate.
-    Returns int64 (tp, fn, tn, fp) counts of shape (interference rates,
-    filter lengths, 4).
+    The runs are realised and scored in the batches and tiles of the cell's
+    ``tile_plan``; each run's channel is realised once and observed at every
+    configured interference rate. Returns int64 (tp, fn, tn, fp) counts of
+    shape (interference rates, filter lengths, 4).
     """
     cfg, ti, pi, run_seeds, filter_lens = task
     period_ms = cfg.period_ms[ti]
@@ -412,12 +424,12 @@ def _point_counts(task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]]
     n_periods = cfg.periods_per_run(period_ms)
     rates = np.array(cfg.interference_rate)[:, None, None, None]
     counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
-    batch = max(1, _BLOCK_SLOTS // (max(cfg.n_active, 1) * n_periods * t_slots))
-    for first in range(0, len(run_seeds), batch):
-        seeds = run_seeds[first : first + batch]
-        heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], n_periods, seeds)
+    plan = tile_plan(cfg.n_active, len(patterns), n_periods, t_slots)
+    for first in range(0, len(run_seeds), plan[0]):
+        seeds = run_seeds[first : first + plan[0]]
+        heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], n_periods, seeds, plan)
         traces = heard | (draws < rates)
-        counts += score_traces(patterns, traces, cfg.n_active, filter_lens).sum(axis=1)
+        counts += score_traces(patterns, traces, cfg.n_active, filter_lens, plan[3]).sum(axis=1)
         # Freed before the next batch realises its channel: holding them across
         # the realisation fragments the heap and raises peak memory.
         del heard, draws, traces

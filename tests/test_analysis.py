@@ -53,21 +53,35 @@ def test_false_id_trivial_cases():
     assert false_id_prob(5, 1.0, 100) == 1.0
 
 
-def test_false_id_against_pattern_level_simulation():
-    # Full protocol oracle: n stations with independent random ids transmit
-    # on a lossless union channel; a fresh silent id is tested for false
-    # identification through the real fingerprint + identify path.
-    n, p, t, trials = 3, 0.25, 10, 10**5
+def _silent_id_trials(trials: int):
+    """Per trial, n stations' union on a lossless channel and one fresh silent id."""
+    n, p, t = 3, 0.25, 10
     rng = np.random.default_rng(7_2025)
     ids = rng.integers(0, 2**64, size=(trials, n + 1), dtype=np.uint64)
-    hits = 0
-    for row in ids:
-        union = generate_pattern(row[:n], p, t).any(axis=0)
-        if int(row[n]) in identify(union, [int(row[n])], p):
-            hits += 1
+    patterns = generate_pattern(ids, p, t)
+    return ids, patterns[:, :n].any(axis=1), patterns[:, n], (n, p, t)
+
+
+def test_false_id_against_pattern_level_simulation():
+    # Full protocol oracle: n stations with independent random ids transmit
+    # on a lossless union channel; a fresh silent id is falsely identified
+    # where the union covers every one of its beeps.
+    trials = 10**5
+    _, union, silent, (n, p, t) = _silent_id_trials(trials)
+    hits = int((~(silent & ~union).any(axis=-1)).sum())
     expected = false_id_prob(n, p, t)
     se = math.sqrt(expected * (1 - expected) / trials)
     assert abs(hits / trials - expected) <= 3 * se
+
+
+def test_identify_agrees_with_the_array_form_of_false_identification():
+    # The same trials through the receiver's own path, one identify call each.
+    ids, union, silent, (_, p, _) = _silent_id_trials(300)
+    covered = ~(silent & ~union).any(axis=-1)
+    silent_ids = [int(row[-1]) for row in ids]
+    accepted = [i in identify(trace, [i], p) for i, trace in zip(silent_ids, union)]
+    assert accepted == covered.tolist()
+    assert 0 < covered.sum() < len(covered)
 
 
 def test_false_id_monotone_in_period_length():

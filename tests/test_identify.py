@@ -1,8 +1,6 @@
 """Subset identification and the OR-filter."""
 
-import importlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from beepid.fingerprint import generate_pattern
 from beepid.identify import IdSet, filter_apply, filter_push, identify, uncovered
+from beepid.montecarlo import tile_plan
 from oracles import ref_pattern_bits, ref_pattern_slots, ref_uncovered
-
-# beepid re-exports the function ``identify``, so the module is fetched by path.
-identify_module = importlib.import_module("beepid.identify")
 
 
 def _trace(bits: int, t: int) -> np.ndarray:
@@ -76,21 +72,20 @@ def _coverage_cases(draw):
     traces = draw(st.sampled_from([st.booleans(), st.just(True)]))
     observed = draw(arrays(np.bool_, (*lead, t_slots), elements=traces))
     beeps = draw(st.sampled_from([st.booleans(), st.just(False)]))
-    # Past 16 ids the multiply-add bound, not the slot bound, sizes the tiles.
     patterns = draw(arrays(np.bool_, (draw(st.integers(0, 40)), t_slots), elements=beeps))
-    return draw(st.integers(1, 64)), observed, patterns
+    # Up to 64 traces: a step past the count is one short tile.
+    return draw(st.integers(1, 70)), observed, patterns
 
 
 @settings(max_examples=300, deadline=None)
 @given(_coverage_cases())
-# Tiles of 2 traces of 3 slots over 5 traces: tiles of 2, 2 and a short last one of 1.
-@example((8, np.arange(15).reshape(5, 3) % 4 > 0, generate_pattern(range(1, 7), 0.5, 3)))
-# 24 ids of 3 slots: 128 multiply-adds hold one trace, so 5 tiles of 1.
-@example((8, np.arange(15).reshape(5, 3) % 4 > 0, generate_pattern(range(1, 25), 0.5, 3)))
+# Tiles of 2 traces over 5 traces: tiles of 2, 2 and a short last one of 1.
+@example((2, np.arange(15).reshape(5, 3) % 4 > 0, generate_pattern(range(1, 7), 0.5, 3)))
+# 24 ids of 3 slots in tiles of one trace each.
+@example((1, np.arange(15).reshape(5, 3) % 4 > 0, generate_pattern(range(1, 25), 0.5, 3)))
 def test_tiled_coverage_matches_boolean_product(case):
-    block_slots, observed, patterns = case
-    with mock.patch.object(identify_module, "_BLOCK_SLOTS", block_slots):
-        missed = uncovered(observed, patterns)
+    step, observed, patterns = case
+    missed = uncovered(observed, patterns, step)
     assert missed.dtype == bool
     assert np.array_equal(missed, ref_uncovered(observed, patterns))
     assert missed.shape == observed.shape[:-1] + (len(patterns),)
@@ -106,17 +101,20 @@ class _TileLog(np.ndarray):
         return np.asarray(self) @ other
 
 
+# Up to 16 ids a tile holds 16384 // T traces whatever the roster; past
+# 16 ids the multiply-add bound, not the slot bound, sizes the tiles.
 @pytest.mark.parametrize("n_ids, traces_per_tile", [(10, 163), (16, 163), (40, 65), (300, 8)])
 def test_coverage_tiles_stay_within_one_blas_thread(n_ids, traces_per_tile):
     # 600 traces of 100 slots, as at a grid point of 1000 ms periods.
     observed = np.random.default_rng(3).random((6, 2, 50, 100)) < 0.7
     patterns = generate_pattern(range(1, n_ids + 1), 0.3, 100)
+    step = tile_plan(5, n_ids, 50, 100)[3]
+    assert step == traces_per_tile
     _TileLog.products = []
-    missed = uncovered(observed.view(_TileLog), patterns)
+    missed = uncovered(observed.view(_TileLog), patterns, step)
     assert np.array_equal(missed, ref_uncovered(observed, patterns))
     # OpenBLAS runs sgemm on one thread up to 65536 * 4 multiply-adds.
     assert all(math.prod(shape) <= 65536 * 4 for shape in _TileLog.products)
-    # Up to 16 ids a tile holds 16384 // T traces whatever the roster.
     tiles = [traces for traces, _, _ in _TileLog.products]
     assert tiles[:-1] == [traces_per_tile] * (len(tiles) - 1)
     assert 0 < tiles[-1] <= traces_per_tile and sum(tiles) == 600

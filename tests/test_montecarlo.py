@@ -5,7 +5,6 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ import beepid.montecarlo as montecarlo
 from beepid.channel import link_budget_dbm
 from beepid.fingerprint import generate_pattern
 from beepid.montecarlo import (
-    _BLOCK_SLOTS,
     ConfigError,
     FilterComparison,
     MetricsRecord,
@@ -29,6 +27,7 @@ from beepid.montecarlo import (
     score_traces,
     simulate_run_traces,
     sweep,
+    tile_plan,
 )
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
@@ -359,13 +358,13 @@ def test_direct_construction_refuses_other_kinds_and_stays_frozen():
 
 
 def _multi_block_run(velocity_kmph: float, sim_length_s: float = 500.0):
-    # 500 s of 100 ms periods: 50000 slots, three whole blocks and a partial one.
+    # 500 s of 100 ms periods: each node row in three whole period spans and a partial one.
     cfg = _point_cfg(sim_length_s=sim_length_s, velocity_kmph=velocity_kmph)
     n_periods = cfg.periods_per_run(100)
     patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, cfg.slots_per_period(100))
-    n_slots = n_periods * patterns.shape[1]
-    assert n_slots > 3 * _BLOCK_SLOTS and n_slots % _BLOCK_SLOTS
-    return cfg, patterns, n_periods, n_slots
+    _, rows, periods, _ = tile_plan(cfg.n_active, cfg.n_active, n_periods, patterns.shape[1])
+    assert rows == 1 and n_periods > 3 * periods and n_periods % periods
+    return cfg, patterns, n_periods, n_periods * patterns.shape[1]
 
 
 @pytest.mark.parametrize("velocity_kmph", [0.0, 3.0, 120.0])
@@ -390,43 +389,30 @@ def test_realisation_memory_is_bounded_per_node_slot():
     assert peak <= 12 * cfg.n_active * n_slots
 
 
-def _fading_tiles(monkeypatch) -> list:
-    """The (rows, slots) shape of every tile that then goes through ``rayleigh_sequence``."""
-    shapes = []
-    realise = montecarlo.rayleigh_sequence
-
-    def logged(g0, rho, noise):
-        shapes.append(noise.shape)
-        return realise(g0, rho, noise)
-
-    monkeypatch.setattr(montecarlo, "rayleigh_sequence", logged)
-    return shapes
-
-
 def _default_cfg(**overrides) -> SimConfig:
     return SimConfig.from_dict({**json.loads(DEFAULT_CONFIG.read_text()), **overrides})
 
 
-def test_filter_compare_grid_is_realised_in_one_tile_per_batch(monkeypatch):
-    # The benchmark's filter-compare-m6 grid. A cell's 10 runs of 5 x 500
-    # node-slots (495 at 150 ms periods) go in batches of 6 and 4 runs, each
-    # batch one tile.
-    tiles = _fading_tiles(monkeypatch)
-    compare_filtering(_default_cfg(runs=10, filter_len=6))
-    assert [rows for rows, _ in tiles] == [6 * 5, 4 * 5] * 30
-    assert {slots for _, slots in tiles} == {495, 500}
+def _cell_plans(cfg: SimConfig) -> list:
+    return [
+        tile_plan(cfg.n_active, cfg.n_nodes, cfg.periods_per_run(t), cfg.slots_per_period(t))
+        for t in cfg.period_ms
+    ]
 
 
-def test_long_run_is_realised_in_period_spans_of_one_node_row(monkeypatch):
-    # The benchmark's long-run point: 3600 periods of 100 slots and 5 active
-    # nodes a run, each run a batch of its own. 163 periods fill a tile, so
-    # a node row goes in 22 spans of 163 periods and one of 14.
-    cfg = _default_cfg(
-        period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0, runs=2
-    )
-    tiles = _fading_tiles(monkeypatch)
-    montecarlo._point_counts((cfg, 0, 0, [1, 2], (0,)))
-    assert tiles == ([(1, 16300)] * 22 + [(1, 1400)]) * 5 * 2
+def test_tile_plan_is_pinned_on_the_benchmark_cells():
+    # filter-compare-m6: a cell's 10 runs of 5 x 500 node-slots (495 at
+    # 150 ms periods) go in batches of 6 and 4 runs, each batch one fading
+    # tile of all 5 rows and every period.
+    cfg = _default_cfg(runs=10, filter_len=6)
+    assert _cell_plans(cfg) == [
+        (6, 5, cfg.periods_per_run(t), 16384 // cfg.slots_per_period(t)) for t in cfg.period_ms
+    ]
+    # long-run: 3600 periods of 100 slots, each run a batch of its own. 163
+    # periods fill a tile, so a node row goes in 22 spans of 163 periods and
+    # one of 14, and 163 traces fill a coverage tile.
+    cfg = _default_cfg(period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0)
+    assert _cell_plans(cfg) == [(1, 1, 163, 163)]
 
 
 @st.composite
@@ -441,33 +427,37 @@ def _tiled_runs(draw):
     patterns = draw(arrays(np.bool_, (n_active, draw(st.integers(1, 20)))))
     n_periods = draw(st.integers(1, 30))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), max_size=7))
-    return draw(st.integers(3, 64)), cfg, patterns, n_periods, seeds
+    # A plan's fading tiles: whole periods of some rows, or spans of one row.
+    if draw(st.booleans()):
+        rows, periods = draw(st.integers(1, max(n_active, 1))), n_periods
+    else:
+        rows, periods = 1, draw(st.integers(1, n_periods))
+    return (len(seeds), rows, periods, 1), cfg, patterns, n_periods, seeds
 
 
-def _tiled_run(block_slots: int, n_active: int, t_slots: int, n_periods: int, runs: int = 1):
+def _tiled_run(rows: int, periods: int, n_active: int, t_slots: int, n_periods: int, runs: int = 1):
     cfg = SimConfig(n_active=n_active)
     patterns = generate_pattern(cfg.roster()[:n_active], 0.5, t_slots)
-    return block_slots, cfg, patterns, n_periods, list(range(7, 7 + runs))
+    return (runs, rows, periods, 1), cfg, patterns, n_periods, list(range(7, 7 + runs))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_tiled_runs())
 # Rows of 20 slots, 3 to a tile: row groups of 3, 3 and 2.
-@example(_tiled_run(64, n_active=8, t_slots=5, n_periods=4))
+@example(_tiled_run(3, 4, n_active=8, t_slots=5, n_periods=4))
 # Three runs of rows of 35 slots: tiles of one row of the three, one period each.
-@example(_tiled_run(16, n_active=2, t_slots=5, n_periods=7, runs=3))
-# The same at twice the tile: spans of 2, 2, 2 and 1 periods.
-@example(_tiled_run(32, n_active=2, t_slots=5, n_periods=7, runs=3))
-# Periods of 20 slots, longer than a tile: one period per tile.
-@example(_tiled_run(3, n_active=3, t_slots=20, n_periods=2))
+@example(_tiled_run(1, 1, n_active=2, t_slots=5, n_periods=7, runs=3))
+# The same in spans of 2, 2, 2 and 1 periods.
+@example(_tiled_run(1, 2, n_active=2, t_slots=5, n_periods=7, runs=3))
+# Periods of 20 slots, one per tile.
+@example(_tiled_run(1, 1, n_active=3, t_slots=20, n_periods=2))
 # Seven runs of 2 x 10 node-slots: tiles of one row of the seven, one period each.
-@example(_tiled_run(64, n_active=2, t_slots=5, n_periods=2, runs=7))
+@example(_tiled_run(1, 1, n_active=2, t_slots=5, n_periods=2, runs=7))
 # Two runs of 5 rows of 10 slots: whole rows of both, in groups of 3 and 2.
-@example(_tiled_run(64, n_active=5, t_slots=5, n_periods=2, runs=2))
+@example(_tiled_run(3, 2, n_active=5, t_slots=5, n_periods=2, runs=2))
 def test_tiled_realisation_matches_single_block_oracle(case):
-    block_slots, cfg, patterns, n_periods, seeds = case
-    with mock.patch.object(montecarlo, "_BLOCK_SLOTS", block_slots):
-        heard, draws = simulate_run_traces(cfg, patterns, n_periods, seeds)
+    plan, cfg, patterns, n_periods, seeds = case
+    heard, draws = simulate_run_traces(cfg, patterns, n_periods, seeds, plan)
     assert heard.shape == draws.shape == (len(seeds), n_periods, patterns.shape[1])
     for run, run_seed in enumerate(seeds):
         ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
