@@ -589,6 +589,14 @@ CONFIG_BOUNDS = [
     _bound("pathloss_ref_db", 300.0, math.nextafter(300.0, math.inf)),
     _bound("area_m", TINY, 0.0),
     _bound("velocity_kmph", 0.0, -TINY),
+    # An infinity, the first value past a dB key before it had a range, is
+    # refused past the same edges.
+    _bound("tx_power_dbm", 300.0, math.inf),
+    _bound("sensitivity_dbm", -300.0, -math.inf),
+    _bound("pathloss_exponent", 0.0, -math.inf),
+    _bound("pathloss_exponent", 10.0, math.inf),
+    _bound("pathloss_ref_db", 0.0, -math.inf),
+    _bound("pathloss_ref_db", 300.0, math.inf),
     # The three checks that tie two keys; BASE_CONFIG has 100 ms periods of
     # 10 ms slots and a -20 dBm transmit power.
     pytest.param(

@@ -389,8 +389,43 @@ def test_realisation_memory_is_bounded_per_node_slot():
     assert peak <= 12 * cfg.n_active * n_slots
 
 
+def _fading_tiles(monkeypatch) -> list:
+    """The (rows, slots) shape of every tile that then goes through ``rayleigh_sequence``."""
+    shapes = []
+    realise = montecarlo.rayleigh_sequence
+
+    def logged(g0, rho, noise):
+        shapes.append(noise.shape)
+        return realise(g0, rho, noise)
+
+    monkeypatch.setattr(montecarlo, "rayleigh_sequence", logged)
+    return shapes
+
+
 def _default_cfg(**overrides) -> SimConfig:
     return SimConfig.from_dict({**json.loads(DEFAULT_CONFIG.read_text()), **overrides})
+
+
+def test_filter_compare_grid_is_realised_in_one_tile_per_batch(monkeypatch):
+    # The benchmark's filter-compare-m6 grid. A cell's 10 runs of 5 x 500
+    # node-slots (495 at 150 ms periods) go in batches of 6 and 4 runs, each
+    # batch one tile.
+    tiles = _fading_tiles(monkeypatch)
+    compare_filtering(_default_cfg(runs=10, filter_len=6))
+    assert [rows for rows, _ in tiles] == [6 * 5, 4 * 5] * 30
+    assert {slots for _, slots in tiles} == {495, 500}
+
+
+def test_long_run_is_realised_in_period_spans_of_one_node_row(monkeypatch):
+    # The benchmark's long-run point: 3600 periods of 100 slots and 5 active
+    # nodes a run, each run a batch of its own. 163 periods fill a tile, so
+    # a node row goes in 22 spans of 163 periods and one of 14.
+    cfg = _default_cfg(
+        period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0, runs=2
+    )
+    tiles = _fading_tiles(monkeypatch)
+    montecarlo._point_counts((cfg, 0, 0, [1, 2], (0,)))
+    assert tiles == ([(1, 16300)] * 22 + [(1, 1400)]) * 5 * 2
 
 
 def _cell_plans(cfg: SimConfig) -> list:
