@@ -315,7 +315,7 @@ def tile_plan(n_active: int, n_ids: int, n_periods: int, t_slots: int) -> tuple[
 
 def simulate_run_traces(
     cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seeds: Sequence[int],
-    plan: tuple[int, ...] | None = None,
+    plan: tuple[int, ...] | None = None, workspace: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Realise the channel of a batch of runs, which every interference rate shares.
 
@@ -333,7 +333,9 @@ def simulate_run_traces(
     parts are drawn in stream order, one fading tile of ``plan`` (by default
     ``tile_plan`` of these shapes) at a time, each filtered, thresholded and
     ANDed with its pattern rows at once, its AR(1) gains continuing from the
-    previous tile of the same nodes. No run-length complex array exists.
+    previous tile of the same nodes. No run-length complex array exists. A
+    tile's noise and envelope reuse ``workspace``, flat complex and float arrays
+    of at least a tile's node-slots, fresh by default.
     """
     n_active, t_slots = active_patterns.shape
     n_runs, n_slots = len(run_seeds), n_periods * t_slots
@@ -358,7 +360,8 @@ def simulate_run_traces(
     budget_dbm = budget_dbm.reshape(n_runs, n_active, 1)
 
     _, rows, periods, _ = plan or tile_plan(n_active, n_active, n_periods, t_slots)
-    noise_buffer = np.empty(n_runs * rows * periods * t_slots, dtype=np.complex128)
+    size = n_runs * rows * periods * t_slots
+    noise_buffer, envelope = workspace or (np.empty(size, dtype=np.complex128), np.empty(size))
     heard = np.zeros((n_runs, n_periods, t_slots), dtype=bool)
     for row in range(0, n_active, rows):
         nodes = slice(row, row + rows)
@@ -374,7 +377,8 @@ def simulate_run_traces(
             np.multiply(parts, _INV_SQRT2, out=noise.imag)
             gains = rayleigh_sequence(g, rho, noise.reshape(len(g), -1))
             g = gains[:, -1]
-            flags = detect(gains, budget_dbm[:, nodes].reshape(-1, 1), cfg)
+            rx_dbm = envelope[: gains.size].reshape(gains.shape)
+            flags = detect(gains, budget_dbm[:, nodes].reshape(-1, 1), cfg, rx_dbm)
             flags = flags.reshape(parts.shape[:2] + (-1, t_slots))
             flags &= active_patterns[nodes, None, :]
             heard[:, span] |= flags.any(axis=1)
@@ -409,31 +413,46 @@ def score_traces(
     )
 
 
-def _point_counts(task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]]) -> np.ndarray:
+def _cell_plan(cfg: SimConfig, ti: int, n_runs: int) -> tuple:
+    """``(t_slots, n_periods, tile_plan, node-slots of a fading tile)`` of ``n_runs`` at ``ti``."""
+    t_slots = cfg.slots_per_period(cfg.period_ms[ti])
+    n_periods = cfg.periods_per_run(cfg.period_ms[ti])
+    batch, rows, periods, _ = plan = tile_plan(cfg.n_active, cfg.n_nodes, n_periods, t_slots)
+    return t_slots, n_periods, plan, min(batch, n_runs) * rows * periods * t_slots
+
+
+def _point_counts(
+    task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]], workspace: tuple | None = None
+) -> np.ndarray:
     """Counts of one (period index, p index) grid cell, summed over the given run seeds.
 
-    The runs are realised and scored in the batches and tiles of the cell's
-    ``tile_plan``; each run's channel is realised once and observed at every
-    configured interference rate. Returns int64 (tp, fn, tn, fp) counts of
-    shape (interference rates, filter lengths, 4).
+    The runs are realised (in ``workspace`` if given) and scored in the batches
+    and tiles of the cell's ``tile_plan``; each run's channel is realised once
+    and observed at every configured interference rate. Returns int64 (tp, fn,
+    tn, fp) counts of shape (interference rates, filter lengths, 4).
     """
     cfg, ti, pi, run_seeds, filter_lens = task
-    period_ms = cfg.period_ms[ti]
-    t_slots = cfg.slots_per_period(period_ms)
+    t_slots, n_periods, plan, _ = _cell_plan(cfg, ti, len(run_seeds))
     patterns = generate_pattern(cfg.roster(), cfg.p[pi], t_slots)
-    n_periods = cfg.periods_per_run(period_ms)
     rates = np.array(cfg.interference_rate)[:, None, None, None]
     counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
-    plan = tile_plan(cfg.n_active, len(patterns), n_periods, t_slots)
+    active = patterns[: cfg.n_active]
     for first in range(0, len(run_seeds), plan[0]):
         seeds = run_seeds[first : first + plan[0]]
-        heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], n_periods, seeds, plan)
+        heard, draws = simulate_run_traces(cfg, active, n_periods, seeds, plan, workspace)
         traces = heard | (draws < rates)
         counts += score_traces(patterns, traces, cfg.n_active, filter_lens, plan[3]).sum(axis=1)
         # Freed before the next batch realises its channel: holding them across
         # the realisation fragments the heap and raises peak memory.
         del heard, draws, traces
     return counts
+
+
+def _chunk_counts(tasks: list) -> list[np.ndarray]:
+    """``_point_counts`` of each task, all in one workspace sized for the largest fading tile."""
+    size = max(_cell_plan(cfg, ti, len(seeds))[3] for cfg, ti, _, seeds, _ in tasks)
+    workspace = np.empty(size, dtype=np.complex128), np.empty(size)
+    return [_point_counts(task, workspace) for task in tasks]
 
 
 def run_seed_for(cfg: SimConfig, t_index: int, p_index: int, run_index: int) -> int:
@@ -459,12 +478,14 @@ def _grid_records(
     ]
     # No more workers than tasks: the pool forks all of them up front.
     workers = min(threads, len(tasks))
+    size = max(1, len(tasks) // (workers * 4)) if workers > 1 else len(tasks)
+    chunks = [tasks[first : first + size] for first in range(0, len(tasks), size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(tasks) // (workers * 4))
-            cell_counts = list(pool.map(_point_counts, tasks, chunksize=chunksize))
+            chunk_counts = list(pool.map(_chunk_counts, chunks))
     else:
-        cell_counts = [_point_counts(task) for task in tasks]
+        chunk_counts = map(_chunk_counts, chunks)
+    cell_counts = [counts for chunk in chunk_counts for counts in chunk]
 
     records = []
     for (ti, pi), counts in zip(cells, cell_counts):

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -428,6 +431,60 @@ def test_long_run_is_realised_in_period_spans_of_one_node_row(monkeypatch):
     assert tiles == ([(1, 16300)] * 22 + [(1, 1400)]) * 5 * 2
 
 
+def test_a_serial_grid_realises_every_tile_in_one_workspace(monkeypatch):
+    # A serial grid is one chunk of cells with one workspace, sized for its
+    # largest tile: 100 ms cells come first with tiles of 16 periods of 1000
+    # slots, and 2000 ms cells follow with one period of 20000. The blocks
+    # are held, so no fresh buffer could take the memory of an earlier one.
+    blocks = []
+    realise = montecarlo.rayleigh_sequence
+
+    def logged(g0, rho, noise):
+        blocks.append(noise)
+        return realise(g0, rho, noise)
+
+    monkeypatch.setattr(montecarlo, "rayleigh_sequence", logged)
+    cfg = _default_cfg(
+        runs=2, slot_s=0.0001, period_ms=[100, 2000], sim_length_s=4.0, p=[0.1, 0.5], filter_len=6
+    )
+    compare_filtering(cfg)
+    assert {block.size for block in blocks} == {16000, 8000, 20000}
+    assert all(np.shares_memory(block, blocks[0]) for block in blocks)
+
+
+# Prints the minor page faults of the second compare_filtering call of the
+# interpreter at the filter-compare-m6 config (configs/default.json, argv[1]).
+SECOND_CALL_FAULTS = """
+import json, resource, sys
+from beepid.montecarlo import SimConfig, compare_filtering
+cfg = SimConfig.from_dict({**json.load(open(sys.argv[1])), "runs": 10, "filter_len": 6})
+compare_filtering(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+compare_filtering(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_a_grid_call_does_not_fault_in_fresh_tiles():
+    # Tile arrays allocated per batch go back to the kernel between batches
+    # and fault in again, about 8,300 minor faults per call at this config;
+    # one workspace per chunk takes one or two hundred. The call runs in a
+    # fresh interpreter: a process that has freed larger arrays keeps more
+    # heap, and there per-batch arrays would fault little too.
+    src = str(DEFAULT_CONFIG.parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SECOND_CALL_FAULTS, str(DEFAULT_CONFIG)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 1000
+
+
 def _cell_plans(cfg: SimConfig) -> list:
     return [
         tile_plan(cfg.n_active, cfg.n_nodes, cfg.periods_per_run(t), cfg.slots_per_period(t))
@@ -497,6 +554,11 @@ def test_tiled_realisation_matches_single_block_oracle(case):
     for run, run_seed in enumerate(seeds):
         ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
         assert np.array_equal(heard[run], ref_heard) and np.array_equal(draws[run], ref_draws)
+    # A larger workspace left holding stale values gives the same traces.
+    size = len(seeds) * plan[1] * plan[2] * patterns.shape[1] + 3
+    stale = np.full(size, complex(np.nan, np.inf)), np.full(size, -np.inf)
+    again = simulate_run_traces(cfg, patterns, n_periods, seeds, plan, stale)
+    assert np.array_equal(again[0], heard) and np.array_equal(again[1], draws)
 
 
 def _ref_patterns(ids, p: float, t_slots: int) -> np.ndarray:
