@@ -25,6 +25,7 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -413,51 +414,45 @@ def score_traces(
     )
 
 
-def _cell_plan(cfg: SimConfig, ti: int, n_runs: int) -> tuple:
-    """``(t_slots, n_periods, tile_plan, node-slots of a fading tile)`` of ``n_runs`` at ``ti``."""
-    t_slots = cfg.slots_per_period(cfg.period_ms[ti])
-    n_periods = cfg.periods_per_run(cfg.period_ms[ti])
-    batch, rows, periods, _ = plan = tile_plan(cfg.n_active, cfg.n_nodes, n_periods, t_slots)
-    return t_slots, n_periods, plan, min(batch, n_runs) * rows * periods * t_slots
-
-
-def _point_counts(
-    task: tuple[SimConfig, int, int, Sequence[int], Sequence[int]], workspace: tuple | None = None
-) -> np.ndarray:
-    """Counts of one (period index, p index) grid cell, summed over the given run seeds.
-
-    The runs are realised (in ``workspace`` if given) and scored in the batches
-    and tiles of the cell's ``tile_plan``; each run's channel is realised once
-    and observed at every configured interference rate. Returns int64 (tp, fn,
-    tn, fp) counts of shape (interference rates, filter lengths, 4).
-    """
-    cfg, ti, pi, run_seeds, filter_lens = task
-    t_slots, n_periods, plan, _ = _cell_plan(cfg, ti, len(run_seeds))
-    patterns = generate_pattern(cfg.roster(), cfg.p[pi], t_slots)
-    rates = np.array(cfg.interference_rate)[:, None, None, None]
-    counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
-    active = patterns[: cfg.n_active]
-    for first in range(0, len(run_seeds), plan[0]):
-        seeds = run_seeds[first : first + plan[0]]
-        heard, draws = simulate_run_traces(cfg, active, n_periods, seeds, plan, workspace)
-        traces = heard | (draws < rates)
-        counts += score_traces(patterns, traces, cfg.n_active, filter_lens, plan[3]).sum(axis=1)
-        # Freed before the next batch realises its channel: holding them across
-        # the realisation fragments the heap and raises peak memory.
-        del heard, draws, traces
-    return counts
-
-
-def _chunk_counts(tasks: list) -> list[np.ndarray]:
-    """``_point_counts`` of each task, all in one workspace sized for the largest fading tile."""
-    size = max(_cell_plan(cfg, ti, len(seeds))[3] for cfg, ti, _, seeds, _ in tasks)
-    workspace = np.empty(size, dtype=np.complex128), np.empty(size)
-    return [_point_counts(task, workspace) for task in tasks]
-
-
 def run_seed_for(cfg: SimConfig, t_index: int, p_index: int, run_index: int) -> int:
     """Seed for one run; interference rate intentionally not an input (pairing)."""
     return derive_seed(cfg.master_seed, t_index, p_index, run_index)
+
+
+def _chunk_counts(
+    cfg: SimConfig, filter_lens: Sequence[int], cells: Sequence[tuple[int, int]]
+) -> list[np.ndarray]:
+    """Counts of each (period index, p index) grid cell of a chunk, summed over its runs.
+
+    A cell's runs are realised and scored in the batches and tiles of its
+    ``tile_plan``, each batch deriving its own run seeds, in one workspace sized
+    for the chunk's largest fading tile. Each run's channel is realised once and
+    observed at every interference rate. Returns int64 (tp, fn, tn, fp) counts
+    of shape (interference rates, filter lengths, 4) per cell.
+    """
+    plans = []
+    for ti, _ in cells:
+        t_slots = cfg.slots_per_period(cfg.period_ms[ti])
+        n_periods = cfg.periods_per_run(cfg.period_ms[ti])
+        plans.append((t_slots, n_periods, tile_plan(cfg.n_active, cfg.n_nodes, n_periods, t_slots)))
+    size = max(min(b, cfg.runs) * rows * periods * t for t, _, (b, rows, periods, _) in plans)
+    workspace = np.empty(size, dtype=np.complex128), np.empty(size)
+    rates = np.array(cfg.interference_rate)[:, None, None, None]
+    chunk_counts = []
+    for (ti, pi), (t_slots, n_periods, plan) in zip(cells, plans):
+        patterns = generate_pattern(cfg.roster(), cfg.p[pi], t_slots)
+        active = patterns[: cfg.n_active]
+        counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
+        for first in range(0, cfg.runs, plan[0]):
+            seeds = [run_seed_for(cfg, ti, pi, r) for r in range(first, cfg.runs)[: plan[0]]]
+            heard, draws = simulate_run_traces(cfg, active, n_periods, seeds, plan, workspace)
+            traces = heard | (draws < rates)
+            counts += score_traces(patterns, traces, cfg.n_active, filter_lens, plan[3]).sum(axis=1)
+            # Freed before the next batch realises its channel: holding them across
+            # the realisation fragments the heap and raises peak memory.
+            del heard, draws, traces
+        chunk_counts.append(counts)
+    return chunk_counts
 
 
 def _grid_records(
@@ -472,19 +467,16 @@ def _grid_records(
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = [(ti, pi) for ti in range(len(cfg.period_ms)) for pi in range(len(cfg.p))]
-    tasks = [
-        (cfg, ti, pi, [run_seed_for(cfg, ti, pi, r) for r in range(cfg.runs)], filter_lens)
-        for ti, pi in cells
-    ]
-    # No more workers than tasks: the pool forks all of them up front.
-    workers = min(threads, len(tasks))
-    size = max(1, len(tasks) // (workers * 4)) if workers > 1 else len(tasks)
-    chunks = [tasks[first : first + size] for first in range(0, len(tasks), size)]
+    # No more workers than cells: the pool forks all of them up front.
+    workers = min(threads, len(cells))
+    size = max(1, len(cells) // (workers * 4)) if workers > 1 else len(cells)
+    chunks = [cells[first : first + size] for first in range(0, len(cells), size)]
+    count_chunk = partial(_chunk_counts, cfg, filter_lens)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_counts = list(pool.map(_chunk_counts, chunks))
+            chunk_counts = list(pool.map(count_chunk, chunks))
     else:
-        chunk_counts = map(_chunk_counts, chunks)
+        chunk_counts = map(count_chunk, chunks)
     cell_counts = [counts for chunk in chunk_counts for counts in chunk]
 
     records = []

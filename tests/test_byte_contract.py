@@ -114,7 +114,7 @@ def test_each_stage_of_a_fading_cell_is_pinned():
     heard, draws = montecarlo.simulate_run_traces(
         cfg, patterns[: cfg.n_active], cfg.periods_per_run(100), seeds
     )
-    counts = montecarlo._point_counts((cfg, 0, 0, seeds, (0, 3)))
+    counts = montecarlo._chunk_counts(cfg, (0, 3), [(0, 0)])[0]
     stages = {"patterns": patterns, "interference draws": draws, "heard": heard, "counts": counts}
     for stage, array in stages.items():
         assert _sha256(np.ascontiguousarray(array).tobytes()) == STAGE_SHA256[stage], stage

@@ -97,7 +97,7 @@ def test_thread_count_does_not_change_results():
 
 
 def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
-    sizes = []
+    sizes, tasks = [], []
 
     class RecordingPool:
         """Records the pool size it is asked for and maps in this process."""
@@ -112,7 +112,8 @@ def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            tasks.append(list(iterable))
+            return map(fn, tasks[-1])
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
     one_cell = _point_cfg(runs=1)
@@ -122,6 +123,8 @@ def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
     assert sweep(four_cells, threads=10**6) == sweep(four_cells)
     assert compare_filtering(four_cells, threads=3) == compare_filtering(four_cells)
     assert sizes == [4, 3]
+    # A task is a chunk of (period index, p index) cells, here one cell each.
+    assert tasks == [[[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]] * 2
     for threads in (0, -5):
         with pytest.raises(ConfigError, match="threads"):
             sweep(one_cell, threads=threads)
@@ -138,11 +141,35 @@ def test_full_grid_produces_all_records():
 def test_single_point_sweep_equals_per_run_aggregation():
     cfg = _point_cfg(runs=4, interference_rate=(0.05,))
     record = sweep(cfg)[0]
-    total = sum(
-        montecarlo._point_counts((cfg, 0, 0, [run_seed_for(cfg, 0, 0, r)], (cfg.filter_len,)))[0, 0]
-        for r in range(cfg.runs)
-    )
+    patterns = generate_pattern(cfg.roster(), 0.3, cfg.slots_per_period(100))
+    active, n_periods = patterns[: cfg.n_active], cfg.periods_per_run(100)
+    total = 0
+    for r in range(cfg.runs):
+        heard, draws = simulate_run_traces(cfg, active, n_periods, [run_seed_for(cfg, 0, 0, r)])
+        traces = heard | (draws < 0.05)
+        total += score_traces(patterns, traces, cfg.n_active, (cfg.filter_len,))[0, 0]
     assert [record.tp, record.fn, record.tn, record.fp] == total.tolist()
+
+
+def test_each_batch_derives_its_own_run_seeds(monkeypatch):
+    # Runs of 5 nodes x 500 slots: 6 to a batch, so 14 runs make batches of
+    # 6, 6 and 2, and no batch's seeds are derived before the previous batch
+    # is realised.
+    calls = []
+    seed_for, realise = montecarlo.run_seed_for, montecarlo.simulate_run_traces
+
+    def logged_seed(*args):
+        calls.append("seed")
+        return seed_for(*args)
+
+    def logged_realise(cfg, active, n_periods, run_seeds, *args):
+        calls.append(len(run_seeds))
+        return realise(cfg, active, n_periods, run_seeds, *args)
+
+    monkeypatch.setattr(montecarlo, "run_seed_for", logged_seed)
+    monkeypatch.setattr(montecarlo, "simulate_run_traces", logged_realise)
+    sweep(_point_cfg(runs=14))
+    assert calls == ["seed"] * 6 + [6] + ["seed"] * 6 + [6] + ["seed"] * 2 + [2]
 
 
 def test_filter_length_one_changes_nothing():
@@ -427,7 +454,7 @@ def test_long_run_is_realised_in_period_spans_of_one_node_row(monkeypatch):
         period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0, runs=2
     )
     tiles = _fading_tiles(monkeypatch)
-    montecarlo._point_counts((cfg, 0, 0, [1, 2], (0,)))
+    montecarlo._chunk_counts(cfg, (0,), [(0, 0)])
     assert tiles == ([(1, 16300)] * 22 + [(1, 1400)]) * 5 * 2
 
 

@@ -75,7 +75,7 @@ def test_realisation_calls_the_fading_functions_through_module_globals(monkeypat
 
 @pytest.mark.parametrize("filter_lens", [(0,), (1,), (0, 2), (6,)])
 def test_point_counts_call_the_traced_layers_through_module_globals(monkeypatch, filter_lens):
-    # The tracer's montecarlo spans time the hot path only if _point_counts
+    # The tracer's montecarlo spans time the hot path only if _chunk_counts
     # looks these names up on the module when it runs.
     calls = {"simulate_run_traces": [], "score_traces": [], "filter_apply": []}
     for name, log in calls.items():
@@ -89,7 +89,7 @@ def test_point_counts_call_the_traced_layers_through_module_globals(monkeypatch,
     # Runs of 5 nodes x 500 slots: 6 to a batch, so 14 runs make batches of 6, 6 and 2.
     cfg = montecarlo.SimConfig(runs=14, period_ms=(100,), p=(0.3,), interference_rate=(0.0, 0.1))
     seeds = [montecarlo.run_seed_for(cfg, 0, 0, r) for r in range(cfg.runs)]
-    montecarlo._point_counts((cfg, 0, 0, seeds, filter_lens))
+    montecarlo._chunk_counts(cfg, filter_lens, [(0, 0)])
     batches = [list(args[3]) for args in calls["simulate_run_traces"]]
     assert [len(batch) for batch in batches] == [6, 6, 2]
     assert [seed for batch in batches for seed in batch] == seeds
