@@ -69,6 +69,7 @@ def coverage_prob(n: int, p: float, k: int) -> float:
     per_slot = -math.expm1(n * math.log1p(-p)) if p < 1.0 else 1.0
     return per_slot**k
 
+
 def false_id_prob(n: int, p: float, T: int) -> float:
     """Probability that a silent station is falsely identified: (1 - p(1-p)^n)^T.
 

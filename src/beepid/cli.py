@@ -5,7 +5,10 @@ runs one parameter point, ``sweep`` covers the configured grid, and
 ``compare-filter`` reports filtered-vs-unfiltered gains. Simulation
 commands read a flat JSON config (same keys as SimConfig.to_dict),
 accept ``--set key=value`` overrides (comma lists for grids), and emit
-schema-stable CSV.
+schema-stable CSV. ``--seed N`` and ``--filter-len M`` are spellings of
+``--set master_seed=N`` and ``--set filter_len=M``: every override is
+applied in command-line order over the config file, and each key's reader
+then checks the result.
 
 Exit codes: 0 success, 1 configuration error (usage errors included),
 2 runtime error.
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import NoReturn
 
@@ -119,7 +121,7 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key, values if len(values) > 1 or "," in raw else values[0]
 
 
-def load_config(path: str, overrides: list[str], seed: int | None) -> SimConfig:
+def load_config(path: str, overrides: list[str]) -> SimConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -135,8 +137,6 @@ def load_config(path: str, overrides: list[str], seed: int | None) -> SimConfig:
     for text in overrides:
         key, value = _parse_override(text)
         raw[key] = value
-    if seed is not None:
-        raw["master_seed"] = seed
     return SimConfig.from_dict(raw)
 
 
@@ -193,9 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         owner = claimed.setdefault(Path(path).resolve(), option)
         if owner != option:
             raise ConfigError(f"{option} {path} would overwrite the {owner} file")
-    cfg = load_config(args.config, args.set or [], args.seed)
-    if args.filter_len is not None:
-        cfg = replace(cfg, filter_len=args.filter_len)
+    cfg = load_config(args.config, args.set or [])
     if args.command == "simulate":
         cfg.require_single_point()
     if args.command == "compare-filter":
@@ -244,13 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a config key (grids as comma lists); repeatable",
     )
-    common.add_argument("--seed", type=int, default=None, help="override master_seed")
+    common.add_argument(
+        "--seed",
+        dest="set",
+        action="append",
+        type="master_seed={}".format,
+        metavar="SEED",
+        help="same as --set master_seed=SEED",
+    )
     common.add_argument("--out", default=None, help="CSV output path (default stdout)")
     common.add_argument("--threads", type=int, default=1, help="worker processes")
     common.add_argument(
         "--dump-config", default=None, help="write the effective config JSON here"
     )
-    common.set_defaults(func=cmd_run, emit_gnuplot=False, filter_len=None)
+    common.set_defaults(func=cmd_run, emit_gnuplot=False)
 
     sub.add_parser("simulate", parents=[common], help="run a single parameter point")
 
@@ -267,7 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="paired filtered-vs-unfiltered comparison",
     )
     p_cf.add_argument(
-        "--filter-len", type=int, default=None, help="filter window length m"
+        "--filter-len",
+        dest="set",
+        action="append",
+        type="filter_len={}".format,
+        metavar="M",
+        help="filter window length m; same as --set filter_len=M",
     )
     return parser
 

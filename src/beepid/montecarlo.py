@@ -98,7 +98,7 @@ def _grid(read):
     def read_grid(key: str, value) -> tuple:
         values = tuple(value) if isinstance(value, (list, tuple)) else (value,)
         if not values:
-            raise ConfigError(f"{key} grid must be non-empty")
+            raise ConfigError(f"config key {key!r} has invalid value {value!r}: an empty grid")
         return tuple(read(key, v) for v in values)
 
     return read_grid

@@ -1,13 +1,14 @@
 """The byte contract on edge configs: the same CSV bytes at one and two threads.
 
 Each override set is an edge that a change to the tiling, the seeding or
-the scoring could move: a run of many fading tiles, a roster past the
-coverage tile's 16 ids, the ideal channel, no and all nodes active, p at
-0 and 1, slots that do not divide the default periods, a static and a fast
-channel, a saturated one, and a period longer than a tile. The hashes were
-recorded before the tiling moved into ``montecarlo.tile_plan``, the last
-row's before the tiles shared a realisation workspace; a change that keeps
-the contract leaves them as they are.
+the scoring could move: another master seed, a run of many fading tiles, a
+roster past the coverage tile's 16 ids, the ideal channel, no and all nodes
+active, p at 0 and 1, slots that do not divide the default periods, a
+static and a fast channel, a saturated one, and a period longer than a
+tile. The hashes were recorded before the tiling moved into
+``montecarlo.tile_plan``, the last row's before the tiles shared a
+realisation workspace; a change that keeps the contract leaves them as
+they are.
 """
 
 import hashlib
@@ -28,6 +29,10 @@ MATRIX_SHA256 = {
     (): (
         "21f069498826dc2cf7f85a51c18b9d763a36d9a9cf7dfe471aa6066cd0ac5c05",
         "5e55ab3e82d431bab0fa9f11e604e40966add54eda32e45f7233f259ec4c3242",
+    ),
+    ("master_seed=7",): (
+        "22fbf617e82f6409a8aa4af50722e5c4b42fa9879793e0e73dd59d56138ede6f",
+        "611a3186025a15584cf78417dcdc80d1c068326b82f292b9a8bf76a898efd389",
     ),
     ("sim_length_s=600", "period_ms=100,1000", "p=0.3"): (
         "440338b94cbc890d440e64bc0ee12017410c43b175f41247e209be2d797ea421",

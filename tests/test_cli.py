@@ -3,7 +3,6 @@
 import contextlib
 import dataclasses
 import errno
-import hashlib
 import importlib.util
 import io
 import json
@@ -14,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -184,32 +183,11 @@ def test_thread_count_is_invisible_in_output(config_path, tmp_path):
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
-# SHA-256 of the CSVs of the default fading config at runs=2; any change to
-# the seeding, the channel, the scoring or the formatting changes them.
-PINNED_CSV_SHA256 = {
-    ("sweep", 1): "21f069498826dc2cf7f85a51c18b9d763a36d9a9cf7dfe471aa6066cd0ac5c05",
-    ("sweep", 7): "22fbf617e82f6409a8aa4af50722e5c4b42fa9879793e0e73dd59d56138ede6f",
-    ("compare-filter", 1): "5e55ab3e82d431bab0fa9f11e604e40966add54eda32e45f7233f259ec4c3242",
-    ("compare-filter", 7): "611a3186025a15584cf78417dcdc80d1c068326b82f292b9a8bf76a898efd389",
-}
-
 
 def test_default_config_file_spells_out_the_defaults():
     raw = json.loads(DEFAULT_CONFIG.read_text())
     assert SimConfig.from_dict(raw) == SimConfig()
     assert list(SimConfig().to_dict()) == list(raw)
-
-
-@pytest.mark.parametrize("command, seed", sorted(PINNED_CSV_SHA256))
-def test_csv_bytes_are_pinned(tmp_path, command, seed):
-    extra = ["--filter-len", "6"] if command == "compare-filter" else []
-    for threads in ("1", "2"):
-        out_path = tmp_path / f"{command}-{threads}.csv"
-        args = [command, *extra, "--config", str(DEFAULT_CONFIG), "--set", "runs=2"]
-        args += ["--seed", str(seed), "--threads", threads, "--out", str(out_path)]
-        assert main(args) == EXIT_OK
-        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-        assert digest == PINNED_CSV_SHA256[command, seed], threads
 
 
 def test_compare_filter_csv(config_path, tmp_path):
@@ -312,10 +290,10 @@ def test_runtime_error_without_a_message_names_its_class(config_path, monkeypatc
         ["sweep", "--config", str(DEFAULT_CONFIG), "--threads", "x"],
         ["simulate"],
         ["analyze", "--n", "x"],
-        ["compare-filter", "--config", str(DEFAULT_CONFIG), "--filter-len", "1.5"],
+        ["compare-filter", "--config", str(DEFAULT_CONFIG), "--filter-len"],
         ["bogus"],
     ],
-    ids=["threads=x", "no-config", "n=x", "filter-len=1.5", "unknown-command"],
+    ids=["threads=x", "no-config", "n=x", "filter-len-no-value", "unknown-command"],
 )
 def test_usage_error_is_a_config_error(monkeypatch, capsys, args):
     # argparse's own exit 2 would read as a runtime error; no run may start.
@@ -521,6 +499,48 @@ def test_filter_len_option_is_checked_like_the_config_key(config_path, capsys, f
     assert "filter_len" in capsys.readouterr().err
 
 
+# Each option that spells an override, with the subcommand it belongs to and
+# the key it sets.
+SPELLINGS = {"--seed": ("sweep", "master_seed"), "--filter-len": ("compare-filter", "filter_len")}
+
+
+def _stubbed_run(command, options):
+    """Exit code, stderr and dumped config of ``command`` over BASE_CONFIG, evaluating nothing."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        config, out, dumped = (Path(tmp) / name for name in ("in.json", "out.csv", "cfg.json"))
+        config.write_text(json.dumps(BASE_CONFIG))
+        for evaluator in ("sweep", "compare_filtering"):
+            patch.setattr(cli, evaluator, lambda cfg, threads: [])
+        args = [command, "--config", str(config), *options, "--out", str(out)]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*args, "--dump-config", str(dumped)])
+        return code, err.getvalue(), dumped.read_bytes() if code == EXIT_OK else None
+
+
+@pytest.mark.parametrize("option", sorted(SPELLINGS))
+@settings(max_examples=50, deadline=None)
+@given(text=st.integers(-2, 2**64 + 1).map(str))
+@example(text="1e3")
+@example(text="6.0")
+@example(text="1.5")
+@example(text="007")
+@example(text="x")
+@example(text="nan")
+def test_override_option_reads_its_value_like_set(option, text):
+    command, key = SPELLINGS[option]
+    assert _stubbed_run(command, [option, text]) == _stubbed_run(command, ["--set", f"{key}={text}"])
+
+
+@pytest.mark.parametrize(
+    "options, seed",
+    [(["--set", "master_seed=3", "--seed", "5"], 5), (["--seed", "5", "--set", "master_seed=3"], 3)],
+    ids=["seed-last", "set-last"],
+)
+def test_the_later_seed_override_wins(options, seed):
+    code, _, dumped = _stubbed_run("sweep", options)
+    assert code == EXIT_OK and json.loads(dumped)["master_seed"] == seed
+
+
 def test_overflowing_doppler_argument_runs_as_an_uncorrelated_channel(config_path, tmp_path):
     # At 1e300 km/h the J0 argument overflows to inf and the correlation is
     # J0's limit 0, as it is clamped to at 30 km/h (J0(4.19) < 0).
@@ -536,7 +556,7 @@ def test_overflowing_doppler_argument_runs_as_an_uncorrelated_channel(config_pat
 
 @pytest.mark.parametrize("key", ["sim_length_s", "p", "tx_power_dbm"])
 @pytest.mark.parametrize(
-    "value", [True, "5", None, [[0.5]], math.nan, math.inf, -math.inf], ids=repr
+    "value", [True, "5", None, [[0.5]], [], math.nan, math.inf, -math.inf], ids=repr
 )
 def test_config_value_of_another_kind_is_refused(tmp_path, capsys, key, value):
     path = tmp_path / "config.json"
@@ -698,7 +718,7 @@ def test_config_round_trips_through_dict_and_dump(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         dumped = str(Path(tmp) / "effective.json")
         cli._write_output(cli.config_json(cfg), dumped)
-        assert cli.load_config(dumped, [], None) == cfg
+        assert cli.load_config(dumped, []) == cfg
 
 
 def _set_text(value, trailing_comma: bool) -> str:
@@ -720,7 +740,7 @@ def test_set_overrides_round_trip_through_their_text(cfg, trailing_comma):
     with tempfile.TemporaryDirectory() as tmp:
         empty = Path(tmp) / "empty.json"
         empty.write_text("{}")
-        loaded = cli.load_config(str(empty), overrides, None)
+        loaded = cli.load_config(str(empty), overrides)
     for key, value in cfg.to_dict().items():
         assert loaded.to_dict()[key] == value, key
     assert loaded == cfg
