@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import importlib.util
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from test_byte_contract import MATRIX_SHA256
 
 import beepid.cli as cli
 from beepid.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -188,6 +190,20 @@ def test_default_config_file_spells_out_the_defaults():
     raw = json.loads(DEFAULT_CONFIG.read_text())
     assert SimConfig.from_dict(raw) == SimConfig()
     assert list(SimConfig().to_dict()) == list(raw)
+
+
+# The default config's CSV pins, spelled with the --seed and --filter-len
+# options rather than --set: both spellings must write the same bytes.
+@pytest.mark.parametrize("command, seed", [("compare-filter", 1), ("sweep", 1)])
+def test_csv_bytes_are_pinned(tmp_path, command, seed):
+    extra = ["--filter-len", "6"] if command == "compare-filter" else []
+    for threads in ("1", "2"):
+        out_path = tmp_path / f"{command}-{threads}.csv"
+        args = [command, *extra, "--config", str(DEFAULT_CONFIG), "--set", "runs=2"]
+        args += ["--seed", str(seed), "--threads", threads, "--out", str(out_path)]
+        assert main(args) == EXIT_OK
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == MATRIX_SHA256[()][command == "compare-filter"], threads
 
 
 def test_compare_filter_csv(config_path, tmp_path):
