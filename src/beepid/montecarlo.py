@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -77,7 +76,12 @@ def _whole(key: str, value) -> int:
     """``value`` as an int when it is a whole number; anything else is refused, not truncated."""
     if isinstance(value, float):
         if value.is_integer():
-            return int(value)
+            if abs(value) < 2.0**53:
+                return int(value)
+            raise ConfigError(
+                f"config key {key!r} has invalid value {value!r}: a float this large"
+                " spells no single whole number; write it as an integer"
+            )
     elif not isinstance(value, bool):
         try:
             return operator.index(value)
@@ -462,7 +466,8 @@ def _grid_records(
 
     Point results are independent of scheduling: seeds derive from grid
     coordinates, and cells come back in grid order, so any thread count
-    produces identical output.
+    produces identical output. The pool module is imported only when
+    workers start, so a serial run never loads it.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -473,6 +478,8 @@ def _grid_records(
     chunks = [cells[first : first + size] for first in range(0, len(cells), size)]
     count_chunk = partial(_chunk_counts, cfg, filter_lens)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_counts = list(pool.map(count_chunk, chunks))
     else:

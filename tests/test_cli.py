@@ -446,6 +446,28 @@ def test_large_seed_override_stays_exact(config_path, tmp_path):
     assert json.loads(dumped.read_text())["master_seed"] == seed
 
 
+def test_whole_float_below_2_53_reads_as_its_integer(config_path, tmp_path):
+    dumped = tmp_path / "effective.json"
+    args = ["simulate", "--config", config_path, "--seed", "9007199254740991.0"]
+    assert main(args + ["--out", str(tmp_path / "out.csv"), "--dump-config", str(dumped)]) == EXIT_OK
+    assert json.loads(dumped.read_text())["master_seed"] == 2**53 - 1
+
+
+@pytest.mark.parametrize(
+    "option, key",
+    [(["--seed", "9007199254740993.0"], "master_seed"), (["--set", "n_nodes=1e19"], "n_nodes")],
+    ids=["seed", "n_nodes"],
+)
+def test_whole_float_at_or_beyond_2_53_is_a_config_error(
+    config_path, capsys, monkeypatch, option, key
+):
+    # The text 9007199254740993.0, 2^53 + 1, reads as the float 2^53.
+    monkeypatch.setattr(cli, "sweep", _refuse_sweep)
+    assert main(["simulate", "--config", config_path, *option]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err and "integer" in err
+
+
 @pytest.mark.parametrize("override", ["p=nan", "runs=inf", "interference_rate=0,-inf"])
 def test_non_finite_override_is_a_config_error(config_path, capsys, override):
     assert main(["sweep", "--config", config_path, "--set", override]) == EXIT_CONFIG

@@ -1,5 +1,6 @@
 """Experiment harness: scoring, sweeps, determinism, pairing."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -115,7 +116,7 @@ def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
             tasks.append(list(iterable))
             return map(fn, tasks[-1])
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     one_cell = _point_cfg(runs=1)
     four_cells = _point_cfg(runs=1, period_ms=(50, 100), p=(0.2, 0.4), filter_len=2)
     assert sweep(one_cell, threads=10**6) == sweep(one_cell)
@@ -325,6 +326,16 @@ def test_config_refuses_to_truncate_or_accept_non_finite_values():
             SimConfig.from_dict({**base, key: value})
     with pytest.raises(ConfigError):
         _point_cfg(sim_length_s=math.inf)
+
+
+def test_a_whole_float_reads_as_an_integer_only_below_2_53():
+    # From 2^53 on, one float stands for several integers, so it names none.
+    edge = 2.0**53
+    for value in (edge - 1, -(edge - 1), 0.0, -0.0):
+        assert montecarlo._whole("runs", value) == int(value)
+    for value in (edge, -edge, 1e19, sys.float_info.max):
+        with pytest.raises(ConfigError, match="'runs'.*write it as an integer"):
+            montecarlo._whole("runs", value)
 
 
 def test_periods_per_run_counts_whole_slots():

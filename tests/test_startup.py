@@ -1,10 +1,12 @@
-"""Start-up: the CLI loads no scipy package, and the timed sweep imports nothing.
+"""Start-up: the CLI loads no scipy package and, serially, no process pool.
 
 ``beepid.channel`` loads the two compiled scipy kernels it calls straight
 from their extension files, so ``import beepid.cli`` must not pull in
-``scipy.signal`` (which imports ``scipy.stats``) or ``scipy.special``.
-Every check runs in a fresh interpreter, since the test process itself
-imports scipy freely.
+``scipy.signal`` (which imports ``scipy.stats``) or ``scipy.special``. The
+process pool is imported only when a sweep starts workers, so a serial run
+never loads ``concurrent.futures`` or ``multiprocessing``, and the timed
+sweep imports nothing. Every check runs in a fresh interpreter, since the
+test process itself imports scipy and the pool freely.
 """
 
 import json
@@ -17,6 +19,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY_PACKAGES = ("scipy.signal", "scipy.special", "scipy.stats")
+POOL_PACKAGES = ("concurrent.futures", "multiprocessing")
 
 # Runs ``cli.main(argv)`` (nothing when argv is empty) and prints, as the last
 # line, the exit code, every loaded module, and the modules first imported
@@ -117,6 +120,34 @@ def test_fading_sweep_imports_nothing_after_the_config_is_loaded(tmp_path):
     assert result["code"] == 0 and out.read_text().count("\n") == 2
     assert result["late"] == []
     assert not set(SCIPY_PACKAGES) & set(result["modules"])
+
+
+@pytest.mark.parametrize("command", ["import", "analyze", "sweep", "compare-filter"])
+def test_serial_cli_loads_no_process_pool(tmp_path, command):
+    out = ["--out", str(tmp_path / "out.csv")]
+    argv = {
+        "import": [],
+        "analyze": ["analyze", "--n", "10"],
+        "sweep": ["sweep", "--config", _config(tmp_path), *out],
+        "compare-filter": ["compare-filter", "--config", _config(tmp_path), "--filter-len", "6", *out],
+    }[command]
+    result = _python(PROBE, *argv)
+    assert result["code"] == 0
+    assert not set(POOL_PACKAGES) & set(result["modules"])
+
+
+def test_threaded_sweep_imports_the_pool_and_writes_the_serial_bytes(tmp_path):
+    config = _config(tmp_path, p=[0.2, 0.4])
+    csv = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        argv = ["sweep", "--config", config, "--out", str(out), "--threads", threads]
+        result = _python(PROBE, *argv)
+        assert result["code"] == 0
+        csv[threads] = out.read_bytes()
+    assert csv["2"] == csv["1"] and csv["1"].count(b"\n") == 3
+    # The last probe ran at two threads: the pool was imported inside the sweep.
+    assert "concurrent.futures.process" in result["late"]
 
 
 def test_public_scipy_imports_after_the_direct_load_and_gives_the_same_bits():
