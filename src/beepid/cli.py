@@ -202,7 +202,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         csv = metrics_csv(sweep(cfg, threads=args.threads))
     _write_output(csv, args.out)
     if gnuplot is not None:
-        _write_output(GNUPLOT_TEMPLATE.format(csv=Path(args.out).name), gnuplot)
+        _write_output(GNUPLOT_TEMPLATE.format(csv=Path(args.out).name.replace("'", "''")), gnuplot)
     if args.dump_config is not None:
         _write_output(config_json(cfg), args.dump_config)
     return EXIT_OK

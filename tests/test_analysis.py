@@ -214,15 +214,6 @@ def test_optimal_p_direct_values():
     assert optimal_p(9) == pytest.approx(0.1)
 
 
-def test_optimal_p_matches_grid_search():
-    n = 10
-    grid = np.arange(0.001, 1.0, 0.001)
-    for t in (1, 25):
-        values = (1.0 - grid * (1.0 - grid) ** n) ** t
-        best = grid[np.argmin(values)]
-        assert abs(best - optimal_p(n)) <= 0.001 + 1e-12
-
-
 def test_optimal_T_degenerate_and_equation():
     assert optimal_T(1) == 0.0
     v = optimal_T(10)
@@ -286,19 +277,6 @@ def test_optimal_T_custom_target():
     v = optimal_T_exact(n, target=0.01)
     p_opt = optimal_p(n)
     assert false_id_prob(n, p_opt, math.ceil(v)) <= 0.01
-
-
-def test_binomial_mixture_identity():
-    # The false-identification probability is the coverage probability mixed
-    # over a binomial number of candidate beeps.
-    for n in (1, 3, 7):
-        for p in (0.05, 0.35, 0.8):
-            for t in (1, 9, 30):
-                total = sum(
-                    coverage_prob(n, p, k) * math.comb(t, k) * p**k * (1 - p) ** (t - k)
-                    for k in range(t + 1)
-                )
-                assert total == pytest.approx(false_id_prob(n, p, t), abs=1e-12)
 
 
 def test_domain_validation():

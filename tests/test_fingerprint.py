@@ -30,13 +30,6 @@ def test_seed_zero_matches_published_vector():
     assert _mix(0x9E3779B97F4A7C15) == SEED0_WORDS[0]
 
 
-def test_reseeding_reproduces_the_stream():
-    first = _stream(1, 2)
-    second = _stream(1, 2)
-    assert first == second
-    assert first[0] != first[1]
-
-
 @pytest.mark.parametrize(
     "seed",
     [1, 42, 0xDEADBEEF, 2**64 - 1, 977, 123456789, 31337, 2**63, 55, 808017424794],
@@ -73,12 +66,6 @@ def test_p_zero_never_beeps():
 def test_p_one_always_beeps():
     pattern = generate_pattern(7, 1.0, 100)
     assert pattern.shape == (100,) and pattern.all()
-
-
-def test_pattern_is_deterministic():
-    a = generate_pattern(42, 0.3, 1000)
-    b = generate_pattern(42, 0.3, 1000)
-    assert np.array_equal(a, b)
 
 
 def test_pattern_matches_reference_oracle_exactly():

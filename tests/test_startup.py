@@ -94,46 +94,23 @@ def _config(tmp_path, **overrides) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["import", "analyze", "ideal-sweep"])
-def test_cli_loads_no_scipy_package(tmp_path, command):
-    argv = {
-        "import": [],
-        "analyze": ["analyze", "--n", "10"],
-        "ideal-sweep": [
-            "sweep",
-            "--config",
-            _config(tmp_path, ideal_channel=True),
-            "--out",
-            str(tmp_path / "out.csv"),
-        ],
-    }[command]
-    result = _python(PROBE, *argv)
-    assert result["code"] == 0
-    assert not set(SCIPY_PACKAGES) & set(result["modules"])
-
-
-def test_fading_sweep_imports_nothing_after_the_config_is_loaded(tmp_path):
+@pytest.mark.parametrize("command", ["import", "analyze", "ideal-sweep", "sweep", "compare-filter"])
+def test_serial_cli_loads_no_scipy_package_or_pool_and_nothing_late(tmp_path, command):
     # Anything imported inside the sweep is timed as wall_s, not setup_s.
     out = tmp_path / "out.csv"
-    argv = ["sweep", "--config", _config(tmp_path), "--out", str(out), "--threads", "1"]
-    result = _python(PROBE, *argv)
-    assert result["code"] == 0 and out.read_text().count("\n") == 2
-    assert result["late"] == []
-    assert not set(SCIPY_PACKAGES) & set(result["modules"])
-
-
-@pytest.mark.parametrize("command", ["import", "analyze", "sweep", "compare-filter"])
-def test_serial_cli_loads_no_process_pool(tmp_path, command):
-    out = ["--out", str(tmp_path / "out.csv")]
+    run = ["--out", str(out), "--threads", "1"]
     argv = {
         "import": [],
         "analyze": ["analyze", "--n", "10"],
-        "sweep": ["sweep", "--config", _config(tmp_path), *out],
-        "compare-filter": ["compare-filter", "--config", _config(tmp_path), "--filter-len", "6", *out],
+        "ideal-sweep": ["sweep", "--config", _config(tmp_path, ideal_channel=True), *run],
+        "sweep": ["sweep", "--config", _config(tmp_path), *run],
+        "compare-filter": ["compare-filter", "--config", _config(tmp_path), "--filter-len", "6", *run],
     }[command]
     result = _python(PROBE, *argv)
-    assert result["code"] == 0
-    assert not set(POOL_PACKAGES) & set(result["modules"])
+    assert result["code"] == 0 and result["late"] == []
+    assert not {*SCIPY_PACKAGES, *POOL_PACKAGES} & set(result["modules"])
+    if "--out" in argv:
+        assert out.read_text().count("\n") == 2
 
 
 def test_threaded_sweep_imports_the_pool_and_writes_the_serial_bytes(tmp_path):
