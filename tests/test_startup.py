@@ -6,7 +6,8 @@ from their extension files, so ``import beepid.cli`` must not pull in
 process pool is imported only when a sweep starts workers, so a serial run
 never loads ``concurrent.futures`` or ``multiprocessing``, and the timed
 sweep imports nothing. Every check runs in a fresh interpreter, since the
-test process itself imports scipy and the pool freely.
+test process itself imports scipy and the pool freely; the five serial
+commands are probed once each, and the three checks read those results.
 """
 
 import json
@@ -94,23 +95,46 @@ def _config(tmp_path, **overrides) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["import", "analyze", "ideal-sweep", "sweep", "compare-filter"])
-def test_serial_cli_loads_no_scipy_package_or_pool_and_nothing_late(tmp_path, command):
-    # Anything imported inside the sweep is timed as wall_s, not setup_s.
-    out = tmp_path / "out.csv"
-    run = ["--out", str(out), "--threads", "1"]
-    argv = {
-        "import": [],
-        "analyze": ["analyze", "--n", "10"],
-        "ideal-sweep": ["sweep", "--config", _config(tmp_path, ideal_channel=True), *run],
-        "sweep": ["sweep", "--config", _config(tmp_path), *run],
-        "compare-filter": ["compare-filter", "--config", _config(tmp_path), "--filter-len", "6", *run],
-    }[command]
-    result = _python(PROBE, *argv)
-    assert result["code"] == 0 and result["late"] == []
-    assert not {*SCIPY_PACKAGES, *POOL_PACKAGES} & set(result["modules"])
-    if "--out" in argv:
-        assert out.read_text().count("\n") == 2
+COMMANDS = ("import", "analyze", "ideal-sweep", "sweep", "compare-filter")
+RUNS = ("ideal-sweep", "sweep", "compare-filter")
+
+
+@pytest.fixture(scope="module")
+def probes(tmp_path_factory):
+    """Each command's probe result, from one fresh interpreter per command."""
+    results = {}
+    for command in COMMANDS:
+        tmp_path = tmp_path_factory.mktemp(command)
+        run = ["--out", str(tmp_path / "out.csv"), "--threads", "1"]
+        argv = {
+            "import": [],
+            "analyze": ["analyze", "--n", "10"],
+            "ideal-sweep": ["sweep", "--config", _config(tmp_path, ideal_channel=True), *run],
+            "sweep": ["sweep", "--config", _config(tmp_path), *run],
+            "compare-filter": ["compare-filter", "--config", _config(tmp_path), "--filter-len", "6", *run],
+        }[command]
+        results[command] = {**_python(PROBE, *argv), "out": tmp_path / "out.csv"}
+    return results
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_loads_no_scipy_package(probes, command):
+    assert probes[command]["code"] == 0
+    assert not set(SCIPY_PACKAGES) & set(probes[command]["modules"])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_serial_cli_loads_no_process_pool(probes, command):
+    assert probes[command]["code"] == 0
+    assert not set(POOL_PACKAGES) & set(probes[command]["modules"])
+
+
+def test_fading_sweep_imports_nothing_after_the_config_is_loaded(probes):
+    # Anything imported inside the sweep is timed as wall_s, not setup_s;
+    # every run command is checked, the ideal-channel sweep too.
+    for command in RUNS:
+        assert probes[command]["late"] == [], command
+        assert probes[command]["out"].read_text().count("\n") == 2, command
 
 
 def test_threaded_sweep_imports_the_pool_and_writes_the_serial_bytes(tmp_path):
