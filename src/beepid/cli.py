@@ -109,16 +109,15 @@ def _parse_override(text: str) -> tuple[str, object]:
     raw = raw.strip()
     if raw.lower() in ("true", "false"):
         return key, raw.lower() == "true"
-    parts = [part for part in raw.split(",") if part != ""]
+    # One trailing comma makes a lone value a one-point grid; every other
+    # part, an empty one too, must be a number.
     values: list[object] = []
-    for part in parts:
+    for part in raw.removesuffix(",").split(","):
         try:
             values.append(_parse_number(part))
         except ValueError:
             raise ConfigError(f"override {text!r}: {part!r} is not a number") from None
-    if not values:
-        raise ConfigError(f"override {text!r} carries no value")
-    return key, values if len(values) > 1 or "," in raw else values[0]
+    return key, values if "," in raw else values[0]
 
 
 def load_config(path: str, overrides: list[str]) -> SimConfig:

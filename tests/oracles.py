@@ -105,9 +105,6 @@ def bessel_j0_series(x: float) -> float:
     return total
 
 
-FIRST_J0_ZERO = 2.404825557695773
-
-
 def ref_standard_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Unit-power complex Gaussians built from complex temporaries."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)

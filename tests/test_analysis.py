@@ -16,7 +16,7 @@ from beepid.analysis import (
     optimal_p,
 )
 from beepid.fingerprint import generate_pattern
-from beepid.identify import filter_apply, identify, uncovered
+from beepid.identify import filter_apply, uncovered
 from beepid.montecarlo import SimConfig, run_seed_for, simulate_run_traces, sweep
 
 
@@ -72,16 +72,6 @@ def test_false_id_against_pattern_level_simulation():
     expected = false_id_prob(n, p, t)
     se = math.sqrt(expected * (1 - expected) / trials)
     assert abs(hits / trials - expected) <= 3 * se
-
-
-def test_identify_agrees_with_the_array_form_of_false_identification():
-    # The same trials through the receiver's own path, one identify call each.
-    ids, union, silent, (_, p, _) = _silent_id_trials(300)
-    covered = ~(silent & ~union).any(axis=-1)
-    silent_ids = [int(row[-1]) for row in ids]
-    accepted = [i in identify(trace, [i], p) for i, trace in zip(silent_ids, union)]
-    assert accepted == covered.tolist()
-    assert 0 < covered.sum() < len(covered)
 
 
 def test_false_id_monotone_in_period_length():

@@ -24,10 +24,8 @@ from beepid.channel import (
 from beepid.fingerprint import generate_pattern
 from beepid.montecarlo import SimConfig, simulate_run_traces
 from oracles import (
-    FIRST_J0_ZERO,
     NodeRadio,
     advance_rayleigh,
-    bessel_j0_series,
     detect_slot,
     received_power_dbm,
     ref_rayleigh_sequence,
@@ -83,30 +81,9 @@ def test_pathloss_rejects_negative_distance():
         pathloss_db(np.array([5.0, -1.0]), FREE_SPACE)
 
 
-def test_doppler_static_channel():
-    assert doppler_correlation(0.0, 2.4e9, 0.010) == 1.0
-
-
-def test_doppler_at_first_bessel_zero():
-    # Pick a velocity placing 2*pi*f_d*dt exactly at the first J0 zero.
-    carrier, slot = 2.4e9, 0.010
-    f_d = FIRST_J0_ZERO / (2 * math.pi * slot)
-    velocity = f_d * 3.6 * 2.99792458e8 / carrier
-    assert doppler_correlation(velocity, carrier, slot) <= 1e-6
-
-
-def test_doppler_matches_series_oracle():
-    velocity, carrier, slot = 3.0, 2.4e9, 0.010
-    f_d = (velocity / 3.6) * carrier / 2.99792458e8
-    assert f_d == pytest.approx(6.67, abs=0.01)
-    expected = bessel_j0_series(2 * math.pi * f_d * slot)
-    assert doppler_correlation(velocity, carrier, slot) == pytest.approx(
-        expected, abs=1e-6
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(velocity=st.floats(0.0, 2000.0), slot=st.floats(1e-4, 0.1))
+@example(velocity=0.0, slot=0.01)  # a static channel: J0(0) = 1
 @example(velocity=50.0, slot=0.01)  # J0 argument 6.98, on cephes' asymptotic branch
 @example(velocity=100.0, slot=0.01)  # 13.97, past the fourth zero
 def test_doppler_correlation_is_scipy_j0_bit_for_bit(velocity, slot):
@@ -167,15 +144,6 @@ def test_doppler_clamped_to_unit_interval():
     assert doppler_correlation(1e290, 2.4e9, 0.010) == float(scipy.special.j0(argument)) > 0.0
     with pytest.raises(ValueError):
         doppler_correlation(-1.0, 2.4e9, 0.010)
-
-
-def test_advance_rayleigh_limits():
-    gain = 0.3 - 0.7j
-    noise = 1.1 + 0.2j
-    assert advance_rayleigh(gain, 1.0, noise) == gain
-    assert advance_rayleigh(gain, 0.0, noise) == noise
-    with pytest.raises(ValueError):
-        advance_rayleigh(gain, 1.5, noise)
 
 
 def test_rayleigh_sequence_matches_scalar_recursion():

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from beepid.fingerprint import generate_pattern
 from beepid.identify import IdSet, filter_apply, filter_push, identify, uncovered
 from beepid.montecarlo import tile_plan
-from oracles import ref_pattern_bits, ref_pattern_slots, ref_uncovered
+from oracles import ref_pattern_bits, ref_uncovered
 
 
 def _trace(bits: int, t: int) -> np.ndarray:
@@ -25,36 +25,6 @@ def _full_trace(t: int) -> np.ndarray:
 
 def _empty_window(t: int) -> np.ndarray:
     return np.zeros((0, t), dtype=bool)
-
-
-def test_all_ones_trace_identifies_everyone():
-    result = identify(_full_trace(32), [3, 1, 4, 1_000_000], 0.4)
-    assert result.identified == (3, 1, 4, 1_000_000)
-
-
-def test_own_pattern_identifies_itself():
-    pattern = generate_pattern(5, 0.5, 64)
-    assert identify(pattern, [5], 0.5).identified == (5,)
-
-
-def test_union_of_two_against_three_candidates():
-    # Brute-force subset check straight from the reference pattern oracle.
-    t, p = 16, 0.5
-    union = [
-        a | b
-        for a, b in zip(ref_pattern_slots(1, p, t), ref_pattern_slots(2, p, t))
-    ]
-    third_covered = all(
-        not beep or seen for beep, seen in zip(ref_pattern_slots(3, p, t), union)
-    )
-    result = identify(union, [1, 2, 3], p)
-    assert 1 in result and 2 in result
-    assert (3 in result) == third_covered
-
-
-def test_candidate_order_is_preserved():
-    result = identify(_full_trace(8), [9, 2, 7], 0.2)
-    assert result.identified == (9, 2, 7)
 
 
 def test_trace_length_mismatch_rejected():
@@ -125,31 +95,45 @@ def test_idset_requires_subset():
         IdSet(candidates=(1, 2), identified=(3,))
 
 
-def test_adding_energy_never_removes_ids():
-    rng = np.random.default_rng(11)
-    t, p = 32, 0.3
-    candidates = list(range(1, 12))
-    for _ in range(50):
-        bits = int(rng.integers(0, 1 << t))
-        extra = bits | int(rng.integers(0, 1 << t))
-        before = identify(_trace(bits, t), candidates, p).identified
-        after = identify(_trace(extra, t), candidates, p).identified
-        assert set(before) <= set(after)
-        # The int-mask rule: accepted iff the pattern has no bit outside the trace.
-        assert before == tuple(c for c in candidates if ref_pattern_bits(c, p, t) & ~bits == 0)
+def _covered(ids, p: float, t: int) -> int:
+    """The OR of the reference patterns of ``ids`` as an int mask."""
+    bits = 0
+    for device_id in ids:
+        bits |= ref_pattern_bits(device_id, p, t)
+    return bits
 
 
-def test_all_zero_pattern_is_always_identified():
-    # p = 0 gives an empty pattern: vacuously covered by any trace.
-    assert identify(np.zeros(12, dtype=bool), [8], 0.0).identified == (8,)
-
-
-def test_lossless_channel_has_no_false_negatives():
-    t, p = 40, 0.3
-    active = [2, 4, 6, 8]
-    union = generate_pattern(active, p, t).any(axis=0)
-    result = identify(union, active + [5, 7], p)
-    assert set(active) <= set(result.identified)
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.integers(1, 64),
+    p=st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 1.0]),
+    candidates=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+    bits=st.integers(0, 2**64 - 1),
+    extra=st.integers(0, 2**64 - 1),
+)
+# An all-ones trace accepts everyone, in candidate order.
+@example(t=32, p=0.4, candidates=[3, 1, 4, 1_000_000], bits=2**32 - 1, extra=0)
+@example(t=8, p=0.2, candidates=[9, 2, 7], bits=2**8 - 1, extra=0)
+# An id's own pattern accepts it.
+@example(t=64, p=0.5, candidates=[5], bits=_covered([5], 0.5, 64), extra=0)
+# The union of two patterns against a third candidate.
+@example(t=16, p=0.5, candidates=[1, 2, 3], bits=_covered([1, 2], 0.5, 16), extra=0)
+# p = 0 gives an empty pattern: vacuously covered by any trace.
+@example(t=12, p=0.0, candidates=[8], bits=0, extra=0)
+# A lossless union of the active ids accepts every one of them.
+@example(t=40, p=0.3, candidates=[2, 4, 6, 8, 5, 7], bits=_covered([2, 4, 6, 8], 0.3, 40), extra=0)
+def test_identify_accepts_exactly_the_covered_candidates(t, p, candidates, bits, extra):
+    mask = (1 << t) - 1
+    bits &= mask
+    result = identify(_trace(bits, t), candidates, p)
+    # The int-mask rule: accepted iff the pattern has no bit outside the trace.
+    expected = tuple(c for c in candidates if ref_pattern_bits(c, p, t) & ~bits == 0)
+    assert result.identified == expected
+    assert result.candidates == tuple(candidates)
+    assert all((c in result) == (c in expected) for c in candidates)
+    # Adding energy never removes an id.
+    more = identify(_trace((bits | extra) & mask, t), candidates, p).identified
+    assert set(result.identified) <= set(more)
 
 
 def test_filter_push_grows_then_slides():
@@ -175,11 +159,6 @@ def test_filter_push_rejects_empty_window():
             filter_push(_empty_window(4), _full_trace(4), filter_len)
 
 
-def test_filter_apply_is_bitwise_or():
-    window = np.array([_trace(0b0101, 4), _trace(0b0011, 4)])
-    assert np.array_equal(filter_apply(window, 2)[-1], _trace(0b0111, 4))
-
-
 def test_filter_apply_identity_on_singleton():
     window = _trace(0b1010, 4)[None]
     assert np.array_equal(filter_apply(window, 4), window)
@@ -191,14 +170,17 @@ def test_filter_apply_identity_on_singleton():
 
 def test_filtered_popcount_dominates_members():
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        masks = [int(rng.integers(0, 1 << 20)) for _ in range(4)]
-        combined = filter_apply(np.array([_trace(m, 20) for m in masks]), 4)[-1]
+    # A window of two traces, 0101 | 0011 = 0111, then 25 random windows of four.
+    windows = [(4, [0b0101, 0b0011])] + [
+        (20, [int(rng.integers(0, 1 << 20)) for _ in range(4)]) for _ in range(25)
+    ]
+    for t, masks in windows:
+        combined = filter_apply(np.array([_trace(m, t) for m in masks]), len(masks))[-1]
         assert all(combined.sum() >= bin(m).count("1") for m in masks)
         brute = 0
         for m in masks:
             brute |= m
-        assert np.array_equal(combined, _trace(brute, 20))
+        assert np.array_equal(combined, _trace(brute, t))
 
 
 def test_single_detection_in_window_survives_filtering():

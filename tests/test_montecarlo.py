@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 from oracles import ref_pattern_bits, ref_pattern_slots, ref_realise_run, ref_score_traces
 
 import beepid.montecarlo as montecarlo
-from beepid.channel import link_budget_dbm
 from beepid.fingerprint import generate_pattern
 from beepid.montecarlo import (
     ConfigError,
@@ -71,15 +70,6 @@ def test_saturated_channel_identifies_everyone():
     assert record.tn + record.fp == 0
 
 
-def test_count_conservation():
-    cfg = _point_cfg(runs=4, interference_rate=(0.1,))
-    record = sweep(cfg)[0]
-    periods = cfg.periods_per_run(100)
-    assert record.events == periods * cfg.runs
-    assert record.tp + record.fn == cfg.n_active * record.events
-    assert record.tn + record.fp == (cfg.n_nodes - cfg.n_active) * record.events
-
-
 def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
     sizes, tasks = [], []
 
@@ -114,14 +104,6 @@ def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
             sweep(one_cell, threads=threads)
 
 
-def test_full_grid_produces_all_records():
-    cfg = SimConfig(runs=1, ideal_channel=True)
-    records = sweep(cfg)
-    assert len(records) == 6 * 5 * 6
-    points = [(r.t_ms, r.p, r.interference_rate) for r in records]
-    assert len(set(points)) == 180
-
-
 def test_each_batch_derives_its_own_run_seeds(monkeypatch):
     # Runs of 5 nodes x 500 slots: 6 to a batch, so 14 runs make batches of
     # 6, 6 and 2, and no batch's seeds are derived before the previous batch
@@ -143,13 +125,6 @@ def test_each_batch_derives_its_own_run_seeds(monkeypatch):
     assert calls == ["seed"] * 6 + [6] + ["seed"] * 6 + [6] + ["seed"] * 2 + [2]
 
 
-def test_filter_length_one_changes_nothing():
-    base = _point_cfg(runs=3, interference_rate=(0.1,))
-    with_m1 = dataclasses.replace(base, filter_len=1)
-    r0, r1 = sweep(base)[0], sweep(with_m1)[0]
-    assert (r0.tp, r0.fn, r0.tn, r0.fp) == (r1.tp, r1.fn, r1.tn, r1.fp)
-
-
 def test_interference_fraction_matches_rate():
     cfg = _point_cfg(n_active=0, runs=1)
     rate = 0.3
@@ -164,25 +139,12 @@ def test_interference_fraction_matches_rate():
     assert abs(ones / slots - rate) <= 3 * sigma
 
 
-def test_filtering_with_window_longer_than_run():
-    # 5s at T=1000ms gives 5 periods; a length-6 window still scores every
-    # period on the partial OR accumulated so far.
-    cfg = _point_cfg(runs=3, period_ms=(1000,), interference_rate=(0.2,), filter_len=6)
-    comparison = compare_filtering(cfg)[0]
-    assert comparison.tp_gain >= 0.0
-    assert not math.isnan(comparison.net)
-
-
 def test_layout_draw():
     cfg = _point_cfg()
     positions = _draw_layout(cfg, np.random.default_rng(5))
     assert positions.shape == (cfg.n_nodes, 2)
     assert ((0.0 <= positions) & (positions <= 100.0)).all()
     assert np.array_equal(positions, np.random.default_rng(5).uniform(0.0, 100.0, (10, 2)))
-    # The receiver is the centre of the square: a node there sees only the
-    # 1 m reference pathloss.
-    centre_budget = link_budget_dbm(np.array([[50.0, 50.0]]), np.zeros(1), cfg)
-    assert centre_budget[0] == cfg.tx_power_dbm - cfg.pathloss_ref_db
 
 
 def test_require_single_point_refuses_grids():
@@ -198,32 +160,10 @@ def test_compare_filtering_requires_window():
         compare_filtering(_point_cfg(filter_len=1))
 
 
-def test_channel_slot_duration_follows_sim_config():
-    # The fading correlation is taken over SimConfig's slot, which the
-    # oracle reads too; at 3 km/h it is 0.989 for 5 ms slots, 0.957 for 10 ms.
-    cfg = _point_cfg(slot_s=0.005, period_ms=(100,))
-    assert cfg.slots_per_period(100) == 20
-    patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, 20)
-    for run_seed in (1, 2):
-        (heard,), (draws,) = simulate_run_traces(cfg, patterns, 50, [run_seed])
-        ref_heard, ref_draws = ref_realise_run(cfg, patterns, 50, run_seed)
-        assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
-
-
 def test_harsher_pathloss_lowers_tp():
     mild = _point_cfg(runs=10, pathloss_exponent=2.0)
     harsh = _point_cfg(runs=10, pathloss_exponent=3.5)
     assert sweep(harsh)[0].tp_rate < sweep(mild)[0].tp_rate
-
-
-def test_a_whole_float_reads_as_an_integer_only_below_2_53():
-    # From 2^53 on, one float stands for several integers, so it names none.
-    edge = 2.0**53
-    for value in (edge - 1, -(edge - 1), 0.0, -0.0):
-        assert montecarlo._whole("runs", value) == int(value)
-    for value in (edge, -edge, 1e19, sys.float_info.max):
-        with pytest.raises(ConfigError, match="'runs'.*write it as an integer"):
-            montecarlo._whole("runs", value)
 
 
 def test_periods_per_run_counts_whole_slots():
@@ -286,9 +226,9 @@ def test_direct_construction_refuses_other_kinds_and_stays_frozen():
         dataclasses.replace(cfg, filter_len=-1)
 
 
-def _multi_block_run(velocity_kmph: float, sim_length_s: float = 500.0):
-    # 500 s of 100 ms periods: each node row in three whole period spans and a partial one.
-    cfg = _point_cfg(sim_length_s=sim_length_s, velocity_kmph=velocity_kmph)
+def _multi_block_run():
+    # 3600 s of 100 ms periods: each node row in whole period spans and a partial one.
+    cfg = _point_cfg(sim_length_s=3600.0)
     n_periods = cfg.periods_per_run(100)
     patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, cfg.slots_per_period(100))
     _, rows, periods, _ = tile_plan(cfg.n_active, cfg.n_active, n_periods, patterns.shape[1])
@@ -296,19 +236,10 @@ def _multi_block_run(velocity_kmph: float, sim_length_s: float = 500.0):
     return cfg, patterns, n_periods, n_periods * patterns.shape[1]
 
 
-@pytest.mark.parametrize("velocity_kmph", [0.0, 3.0, 120.0])
-def test_blocked_realisation_matches_single_block_oracle(velocity_kmph):
-    cfg, patterns, n_periods, _ = _multi_block_run(velocity_kmph)
-    for run_seed in (1, 2**64 - 1):
-        (heard,), (draws,) = simulate_run_traces(cfg, patterns, n_periods, [run_seed])
-        ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
-        assert np.array_equal(heard, ref_heard) and np.array_equal(draws, ref_draws)
-
-
 def test_realisation_memory_is_bounded_per_node_slot():
     # Long enough that the per-block temporaries, a fixed few MB, do not
     # dominate: what must stay bounded is the cost per node-slot.
-    cfg, patterns, n_periods, n_slots = _multi_block_run(3.0, sim_length_s=3600.0)
+    cfg, patterns, n_periods, n_slots = _multi_block_run()
     tracemalloc.start()
     try:
         simulate_run_traces(cfg, patterns, n_periods, [1])
@@ -439,6 +370,7 @@ def _tiled_runs(draw):
     cfg = SimConfig(
         n_nodes=max(n_active, 1),
         n_active=n_active,
+        slot_s=draw(st.sampled_from([0.005, 0.01])),
         velocity_kmph=draw(st.sampled_from([0.0, 3.0, 120.0])),
         ideal_channel=draw(st.booleans()),
     )
