@@ -1,6 +1,7 @@
 """Closed forms against Monte-Carlo, grid-search, and summation oracles."""
 
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 
@@ -82,13 +83,17 @@ def test_false_id_monotone_in_period_length():
 
 
 def test_false_id_large_period_stays_accurate():
-    # exp/log1p path: no underflow to zero for tiny per-slot kill rates.
-    # Independent route: ln(1-x) by series, safe because x ~ 1e-6.
+    # exp/log1p path: no underflow to zero for tiny per-slot kill rates, and
+    # no deficit lost where a coverage 1 - m is within ulps of 1. Independent
+    # route: ln(1-x) by series, safe because x is tiny.
     value = false_id_prob(40, 1e-6, 10**6)
     assert 0.0 < value < 1.0
-    x = 1e-6 * (1 - 1e-6) ** 40
-    log_term = -(x + x**2 / 2 + x**3 / 3)
-    assert value == pytest.approx(math.exp(10**6 * log_term), rel=1e-9)
+    for got, x, slots in (
+        (value, 1e-6 * (1 - 1e-6) ** 40, 10**6),
+        (coverage_prob(60, 0.5, 10**15), (1 - 0.5) ** 60, 10**15),
+        (coverage_prob(100, 0.3, 10**14), (1 - 0.3) ** 100, 10**14),
+    ):
+        assert got == pytest.approx(math.exp(-slots * (x + x**2 / 2 + x**3 / 3)), rel=1e-9)
 
 
 def test_false_id_given_union_values():
@@ -106,21 +111,6 @@ def test_false_id_given_union_values():
     assert values == sorted(values)
     # Tiny p, huge T: log1p keeps the product accurate where 1 - x rounds.
     assert false_id_prob_given_union(10**12, 0, 1e-12) == pytest.approx(math.exp(-1), rel=1e-9)
-
-
-def test_false_id_given_union_validation():
-    for args in (
-        (0, 0, 0.5),
-        (10, -1, 0.5),
-        (10, 11, 0.5),
-        (10, 2, 1.5),
-        (10, 2, 0.5, -0.1),
-        (10, 2, 0.5, 0.1, 0),
-    ):
-        with pytest.raises(ValueError):
-            false_id_prob_given_union(*args)
-    with pytest.raises(ValueError, match="period length T is beyond the float range"):
-        false_id_prob_given_union(10**400, 0, 0.5)
 
 
 def test_false_id_given_union_matches_the_ideal_channel_sweep():
@@ -269,40 +259,47 @@ def test_optimal_T_custom_target():
     assert false_id_prob(n, p_opt, math.ceil(v)) <= 0.01
 
 
-def test_domain_validation():
-    with pytest.raises(ValueError):
-        coverage_prob(0, 0.5, 1)
-    with pytest.raises(ValueError):
-        coverage_prob(1, 1.5, 1)
-    with pytest.raises(ValueError):
-        coverage_prob(1, 0.5, -1)
-    with pytest.raises(ValueError):
-        false_id_prob(1, 0.5, 0)
-    with pytest.raises(ValueError):
-        false_id_prob(0, 0.5, 1)
-    with pytest.raises(ValueError):
-        optimal_p(0)
-    with pytest.raises(ValueError):
-        optimal_T(0)
-    with pytest.raises(ValueError):
-        optimal_T(5, target=0.0)
-    with pytest.raises(ValueError):
-        optimal_T_exact(5, target=2.0)
+HUGE_COUNT = 10**400
+
+# Every input a closed form refuses, each with the message that names it.
+REFUSALS = [
+    (coverage_prob, (0, 0.5, 1), "station count n must be >= 1, got 0"),
+    (coverage_prob, (1, 1.5, 1), "probability must be in [0, 1], got 1.5"),
+    (coverage_prob, (1, 0.5, -1), "slot count k must be >= 0, got -1"),
+    (coverage_prob, (HUGE_COUNT, 0.5, 1), "station count n is beyond the float range"),
+    (coverage_prob, (2, 0.5, HUGE_COUNT), "slot count k is beyond the float range"),
+    (false_id_prob, (1, 0.5, 0), "period length T must be >= 1, got 0"),
+    (false_id_prob, (0, 0.5, 1), "station count n must be >= 1, got 0"),
+    (false_id_prob, (HUGE_COUNT, 0.5, 1), "station count n is beyond the float range"),
+    (false_id_prob, (10, 0.1, HUGE_COUNT), "period length T is beyond the float range"),
+    (false_id_prob_given_union, (0, 0, 0.5), "period length T must be >= 1, got 0"),
+    (false_id_prob_given_union, (10, -1, 0.5), "covered slot count must be in [0, T], got -1"),
+    (false_id_prob_given_union, (10, 11, 0.5), "covered slot count must be in [0, T], got 11"),
+    (false_id_prob_given_union, (10, 2, 1.5), "probability must be in [0, 1], got 1.5"),
+    (false_id_prob_given_union, (10, 2, 0.5, -0.1), "probability must be in [0, 1], got -0.1"),
+    (false_id_prob_given_union, (10, 2, 0.5, 0.1, 0), "window w must be >= 1, got 0"),
+    (false_id_prob_given_union, (HUGE_COUNT, 0, 0.5), "period length T is beyond the float range"),
+    (optimal_p, (0,), "station count n must be >= 1, got 0"),
+    (optimal_p, (HUGE_COUNT,), "station count n is beyond the float range"),
+    (optimal_T, (0,), "station count n must be >= 1, got 0"),
+    (optimal_T, (5, 0.0), "target probability must be in (0, 1], got 0.0"),
+    (optimal_T, (HUGE_COUNT,), "station count n is beyond the float range"),
+    (optimal_T_exact, (5, 2.0), "target probability must be in (0, 1], got 2.0"),
+    (optimal_T_exact, (HUGE_COUNT, 0.5), "station count n is beyond the float range"),
+]
 
 
-def test_counts_beyond_the_float_range_are_refused():
-    huge = 10**400
-    for call in (
-        lambda: coverage_prob(huge, 0.5, 1),
-        lambda: false_id_prob(huge, 0.5, 1),
-        lambda: optimal_p(huge),
-        lambda: optimal_T(huge),
-        lambda: optimal_T_exact(huge, 0.5),
-    ):
-        with pytest.raises(ValueError, match="station count n is beyond the float range"):
-            call()
-    with pytest.raises(ValueError, match="period length T is beyond the float range"):
-        false_id_prob(10, 0.1, huge)
+@pytest.mark.parametrize(
+    "form, args, message",
+    REFUSALS,
+    ids=[
+        f"{form.__name__}({','.join(map(str, args))})".replace(str(HUGE_COUNT), "10**400")
+        for form, args, _ in REFUSALS
+    ],
+)
+def test_closed_form_refuses_input_outside_its_domain(form, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        form(*args)
 
 
 def test_period_at_the_float_maximum_is_endless_not_an_error():
