@@ -10,14 +10,13 @@ Monte-Carlo harness, and a CLI.
 """
 
 from .analysis import (
-    coverage_prob,
     false_id_prob,
     false_id_prob_given_union,
     optimal_p,
     optimal_T,
     optimal_T_exact,
 )
-from .channel import doppler_correlation, pathloss_db
+from .channel import doppler_correlation
 from .fingerprint import DeviceId, derive_seed, generate_pattern
 from .identify import IdSet, filter_apply, filter_push, identify
 from .montecarlo import (
@@ -39,7 +38,6 @@ __all__ = [
     "MetricsRecord",
     "SimConfig",
     "compare_filtering",
-    "coverage_prob",
     "derive_seed",
     "doppler_correlation",
     "false_id_prob",
@@ -51,6 +49,5 @@ __all__ = [
     "optimal_T",
     "optimal_T_exact",
     "optimal_p",
-    "pathloss_db",
     "sweep",
 ]

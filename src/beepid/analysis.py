@@ -57,25 +57,6 @@ def _survives(x: float, slots: int) -> float:
     return math.exp(slots * math.log1p(-x))
 
 
-def coverage_prob(n: int, p: float, k: int) -> float:
-    """Probability that k fixed slots are each covered by at least one of n beepers.
-
-    Each slot is covered independently with probability 1 - (1-p)^n. A
-    small miss (1-p)^n goes through log1p, as false_id_prob does: a float
-    1 - miss within a few ulps of 1 would lose the deficit that k raises.
-    """
-    _check_n(n)
-    _check_p(p)
-    if k < 0:
-        raise ValueError(f"slot count k must be >= 0, got {k}")
-    if k > sys.float_info.max:
-        raise ValueError(f"slot count k is beyond the float range ({len(str(k))} digits)")
-    miss = _miss_all(n, p)
-    if miss < 0.5:
-        return _survives(miss, k)
-    return (-math.expm1(n * math.log1p(-p))) ** k
-
-
 def false_id_prob(n: int, p: float, T: int) -> float:
     """Probability that a silent station is falsely identified: (1 - p(1-p)^n)^T.
 

@@ -85,27 +85,17 @@ SPEED_OF_LIGHT = 2.99792458e8
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def pathloss_db(distance_m, cfg: SimConfig):
-    """Log-distance pathloss in dB of a distance or an array of them.
-
-    Distances below 1 m are clamped to 1 m to avoid the singularity.
-    """
-    distance_m = np.asarray(distance_m, dtype=np.float64)
-    if (distance_m < 0.0).any():
-        raise ValueError("distance must be >= 0")
-    return cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * np.log10(
-        np.maximum(distance_m, 1.0)
-    )
-
-
 def link_budget_dbm(positions: np.ndarray, shadows_db: np.ndarray, cfg: SimConfig):
     """Per-node received power before fading: TX - pathloss + shadowing, in dBm.
 
     ``positions`` has shape (nodes, 2) and ``shadows_db`` shape (nodes,);
-    the receiver sits at the centre of the deployment square.
+    the receiver sits at the centre of the deployment square. The pathloss
+    is log-distance, with distances below 1 m clamped to 1 m.
     """
     offsets = np.asarray(positions) - cfg.area_m / 2.0
-    return cfg.tx_power_dbm - pathloss_db(np.hypot(*offsets.T), cfg) + shadows_db
+    distance_m = np.maximum(np.hypot(*offsets.T), 1.0)
+    pathloss_db = cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * np.log10(distance_m)
+    return cfg.tx_power_dbm - pathloss_db + shadows_db
 
 
 def doppler_correlation(velocity_kmph: float, carrier_hz: float, slot_s: float) -> float:

@@ -158,8 +158,8 @@ class SimConfig:
     sim_length_s: float = _key(5.0, _positive)
     slot_s: float = _key(0.010, _positive)
     period_ms: tuple[int, ...] = _key(DEFAULT_PERIOD_MS_GRID, _grid(_within(_whole, 1)))
-    # Roster ids run from 1 to n_nodes, and a device id is a u64.
-    n_nodes: int = _key(10, _within(_whole, 1, MASK64))
+    # Roster ids run from 1 to n_nodes, a count no larger than the largest array index.
+    n_nodes: int = _key(10, _within(_whole, 1, np.iinfo(np.intp).max))
     n_active: int = _key(5, _within(_whole, 0))
     p: tuple[float, ...] = _key(DEFAULT_P_GRID, _unit_grid)
     interference_rate: tuple[float, ...] = _key(DEFAULT_IR_GRID, _unit_grid)
@@ -294,11 +294,6 @@ class FilterComparison:
         return self.tp_gain - self.tn_loss
 
 
-def _draw_layout(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """One run's node drop: (n_nodes, 2) positions uniform over the square."""
-    return rng.uniform(0.0, cfg.area_m, size=(cfg.n_nodes, 2))
-
-
 def tile_plan(n_active: int, n_ids: int, n_periods: int, t_slots: int) -> tuple[int, ...]:
     """The one tile rule of a grid cell: ``(batch, rows, periods, traces)``.
 
@@ -356,7 +351,7 @@ def simulate_run_traces(
     gain = np.empty((n_runs, n_active), dtype=np.complex128)
     real = np.empty((n_runs, n_active, n_slots))
     for run, rng in enumerate(rngs):
-        positions[run] = _draw_layout(cfg, rng)[:n_active]
+        positions[run] = rng.uniform(0.0, cfg.area_m, size=(cfg.n_nodes, 2))[:n_active]
         shadows[run] = rng.normal(0.0, cfg.shadow_std_db, size=cfg.n_nodes)[:n_active]
         gain[run] = standard_complex_normal(rng, n_active)
         rng.standard_normal(out=real[run])

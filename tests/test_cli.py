@@ -476,7 +476,7 @@ CONFIG_BOUNDS = [
     _bound("period_ms", 1, 0, slot_s=0.001),
     _bound("period_ms", 1, -100, slot_s=0.001),
     _bound("n_nodes", 1, 0, n_active=1),
-    _bound("n_nodes", 2**64 - 1, 2**64),
+    _bound("n_nodes", 2**63 - 1, 2**63),
     _bound("n_active", 0, -1),
     _bound("p", 0.0, -TINY),
     _bound("p", 1.0, math.nextafter(1.0, 2.0)),
@@ -685,7 +685,7 @@ _MISUSE_KEYS = {
     "sim_length_s": _key(st.floats(TINY, 2.0), 0.0, -0.0, -1.0, 1e300),
     "slot_s": _key(st.sampled_from([1e-300, 1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.1]), 0.0, -0.0, -0.01),
     "period_ms": _grid(_key(st.sampled_from([1, 10, 50, 70, 100, 130, 1000]), 0, -100, 1.5, 10**400)),
-    "n_nodes": _key(st.integers(1, 40), 0, -1, 2**64, 1.5),
+    "n_nodes": _key(st.integers(1, 40), 0, -1, 2**63, 2**64, 1.5),
     "n_active": _key(st.integers(0, 10) | st.integers(0, 40), -1, 0.5),
     "p": _grid(_between(0.0, 1.0)),
     "interference_rate": _grid(_between(0.0, 1.0)),

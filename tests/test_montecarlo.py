@@ -15,7 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import ref_pattern_bits, ref_pattern_slots, ref_realise_run, ref_score_traces
+from oracles import (
+    ref_ideal_expected_fp,
+    ref_pattern_bits,
+    ref_pattern_slots,
+    ref_realise_run,
+    ref_score_traces,
+)
 
 import beepid.montecarlo as montecarlo
 from beepid.fingerprint import generate_pattern
@@ -24,7 +30,6 @@ from beepid.montecarlo import (
     FilterComparison,
     MetricsRecord,
     SimConfig,
-    _draw_layout,
     compare_filtering,
     run_seed_for,
     score_traces,
@@ -139,12 +144,47 @@ def test_interference_fraction_matches_rate():
     assert abs(ones / slots - rate) <= 3 * sigma
 
 
-def test_layout_draw():
-    cfg = _point_cfg()
-    positions = _draw_layout(cfg, np.random.default_rng(5))
-    assert positions.shape == (cfg.n_nodes, 2)
-    assert ((0.0 <= positions) & (positions <= 100.0)).all()
-    assert np.array_equal(positions, np.random.default_rng(5).uniform(0.0, 100.0, (10, 2)))
+@pytest.mark.parametrize("period_ms, p", [(50, 0.3), (100, 0.1), (200, 0.5)])
+def test_ideal_cell_counts_match_their_exact_expectation(period_ms, p):
+    # Every active beep is heard, so each run has TP = n_active per period and
+    # FN = 0, and a run's expected FP is exact (ref_ideal_expected_fp). At
+    # r = 0 every run's FP is that expectation. At r > 0 the silent ids of a
+    # period share its interference draws, and a window shares them with its
+    # neighbours, so the z-score is clustered by run.
+    default = SimConfig.from_dict(json.loads(DEFAULT_CONFIG.read_text()))
+    cfg = dataclasses.replace(
+        default,
+        ideal_channel=True,
+        runs=200,
+        master_seed=1,
+        period_ms=(period_ms,),
+        p=(p,),
+        interference_rate=(0.0, 0.05, 0.2),
+        filter_len=6,
+    )
+    filter_lens = (0, cfg.filter_len)
+    t_slots, n_periods = cfg.slots_per_period(period_ms), cfg.periods_per_run(period_ms)
+    patterns = generate_pattern(cfg.roster(), p, t_slots)
+    seeds = [run_seed_for(cfg, 0, 0, run) for run in range(cfg.runs)]
+    heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], n_periods, seeds)
+    traces = heard | (draws < np.array(cfg.interference_rate)[:, None, None, None])
+    step = tile_plan(cfg.n_active, cfg.n_nodes, n_periods, t_slots)[3]
+    counts = score_traces(patterns, traces, cfg.n_active, filter_lens, step)
+    records = [
+        [[r.tp, r.fn, r.tn, r.fp] for r in (pair.off, pair.on)] for pair in compare_filtering(cfg)
+    ]
+    assert counts.sum(axis=1).tolist() == records
+    for rate, rate_counts in zip(cfg.interference_rate, counts):
+        for m, (tp, fn, _, fp) in zip(filter_lens, np.moveaxis(rate_counts, 0, -1)):
+            assert (tp.sum(), fn.sum()) == (cfg.n_active * n_periods * cfg.runs, 0)
+            expected = ref_ideal_expected_fp(
+                cfg.roster(), cfg.n_active, p, t_slots, n_periods, rate, m
+            )
+            if rate == 0.0:
+                assert (fp == expected).all(), m
+            else:
+                z = (fp.mean() - expected) / (fp.std(ddof=1) / math.sqrt(cfg.runs))
+                assert abs(z) <= 4.0, (rate, m, z)
 
 
 def test_require_single_point_refuses_grids():
