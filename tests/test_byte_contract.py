@@ -113,15 +113,15 @@ def test_edge_config_csv_bytes_are_pinned(tmp_path, overrides, command):
 # numpy picks each ufunc's SIMD kernel when it starts, and the kernels for
 # log10 and the complex envelope may differ in the last bits; the detection
 # threshold compares their result. NPY_DISABLE_CPU_FEATURES acts only on the
-# interpreter that reads it, so the rows rerun in a fresh one, at one thread.
+# interpreter that reads it, so each row reruns in a fresh one, at one thread.
 BASELINE_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 BASELINE_PROBE = """
 import hashlib, json, sys
 from numpy.lib.introspect import opt_func_info
 from beepid.cli import main
-out, rows = sys.argv[1], json.loads(sys.argv[2])
+out, commands = sys.argv[1], json.loads(sys.argv[2])
 hashes = []
-for args in rows:
+for args in commands:
     assert main([*args, "--out", out]) == 0, args
     with open(out, "rb") as csv:
         hashes.append(hashlib.sha256(csv.read()).hexdigest())
@@ -133,10 +133,11 @@ print(json.dumps({"log10": log10, "sha256": hashes}))
 @pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 SIMD targets only"
 )
-def test_pinned_csv_bytes_hold_at_numpys_baseline_simd_target(tmp_path):
+@pytest.mark.parametrize("overrides", list(MATRIX_SHA256), ids=lambda o: " ".join(o) or "default")
+def test_pinned_csv_bytes_hold_at_numpys_baseline_simd_target(tmp_path, overrides):
     pytest.importorskip("numpy.lib.introspect")  # numpy 2.0 on
-    rows = [(overrides, command) for overrides in MATRIX_SHA256 for command in sorted(COMMANDS)]
-    argvs = json.dumps([_args(command, overrides) for overrides, command in rows])
+    commands = sorted(COMMANDS)
+    argvs = json.dumps([_args(command, overrides) for command in commands])
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", BASELINE_PROBE, str(tmp_path / "out.csv"), argvs],
@@ -152,8 +153,8 @@ def test_pinned_csv_bytes_hold_at_numpys_baseline_simd_target(tmp_path):
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["log10"].startswith("baseline("), probe["log10"]
-    for (overrides, command), sha256 in zip(rows, probe["sha256"], strict=True):
-        assert sha256 == MATRIX_SHA256[overrides][command == "compare-filter"], (overrides, command)
+    for command, sha256 in zip(commands, probe["sha256"], strict=True):
+        assert sha256 == MATRIX_SHA256[overrides][command == "compare-filter"], command
 
 
 # SHA-256 of each stage of one small fading cell, in the order the stages
