@@ -120,9 +120,19 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key, values if "," in raw else values[0]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice is refused, not left to its later value."""
+    raw: dict = {}
+    for key, value in pairs:
+        if key in raw:
+            raise ConfigError(f"config file gives key {key!r} twice")
+        raw[key] = value
+    return raw
+
+
 def load_config(path: str, overrides: list[str]) -> SimConfig:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
@@ -173,9 +183,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """simulate, sweep and compare-filter: one Monte-Carlo, three views of it.
 
-    Every output must be a file in an existing directory, each its own, before
-    the config is read; the gnuplot script goes beside the CSV. The CSV, the
-    script and the config are written in that order once the run is done.
+    Every output must be a file in an existing directory, each its own and
+    none the config file, before the config is read; the gnuplot script goes
+    beside the CSV. The CSV, the script and the config are written in that
+    order once the run is done.
     """
     gnuplot = None
     if args.emit_gnuplot:
@@ -183,7 +194,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError("--emit-gnuplot needs --out: the script plots the CSV file")
         gnuplot = Path(args.out).with_suffix(".gp")
     outputs = {"--out": args.out, "--dump-config": args.dump_config, "--emit-gnuplot": gnuplot}
-    claimed: dict[Path, str] = {}
+    claimed = {Path(args.config).resolve(): "--config"}
     for option, path in outputs.items():
         if path is None:
             continue

@@ -38,18 +38,23 @@ class IdSet:
         return device_id in self.identified
 
 
-def uncovered(observed: np.ndarray, patterns: np.ndarray, step: int = 1) -> np.ndarray:
+_TILE_MULADDS = 1 << 18  # OpenBLAS runs sgemm on one thread up to 65536 x 4 multiply-adds
+
+
+def uncovered(observed: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """True where an id has a beep slot that went unobserved, shape (..., n_ids).
 
     ``observed`` holds traces of shape (..., T) and ``patterns`` the ids'
     patterns, shape (n_ids, T); an id is identified exactly where this is
     False. A float32 matrix product counts each trace's unobserved beep
-    slots per id, in tiles of ``step`` whole traces (``montecarlo.tile_plan``
-    sizes them for the sweeps). The test is exact for any T and any step:
+    slots per id, in tiles of ``_TILE_MULADDS // (T * max(n_ids, 16))`` whole
+    traces, or one: a product within one BLAS thread, whose float32 tile
+    holds at most 2^14 slots. The test is exact for any T and any tile:
     every addend is 0 or 1, so a sum is positive exactly when one addend is
     1, and rounding cannot take a positive sum of non-negative terms to 0.
     """
     traces = observed.reshape(math.prod(observed.shape[:-1]), observed.shape[-1])
+    step = max(1, _TILE_MULADDS // (max(traces.shape[1], 1) * max(len(patterns), 16)))
     weights = patterns.T.astype(np.float32)
     missed = np.empty((len(traces), weights.shape[-1]), dtype=bool)
     for start in range(0, len(traces), step):

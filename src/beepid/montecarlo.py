@@ -50,7 +50,7 @@ DEFAULT_IR_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 _STREAM_CHANNEL = 1
 _STREAM_INTERFERENCE = 2
 
-_BLOCK_SLOTS = 1 << 14  # the tile size, which tile_plan alone reads
+_BLOCK_SLOTS = 1 << 14  # the fading tile size, which tile_plan alone reads
 
 
 class ConfigError(ValueError):
@@ -294,28 +294,25 @@ class FilterComparison:
         return self.tp_gain - self.tn_loss
 
 
-def tile_plan(n_active: int, n_ids: int, n_periods: int, t_slots: int) -> tuple[int, ...]:
-    """The one tile rule of a grid cell: ``(batch, rows, periods, traces)``.
+def tile_plan(n_active: int, n_periods: int, t_slots: int) -> tuple[int, int, int]:
+    """The fading tile rule of a grid cell: ``(batch, rows, periods)``.
 
     Each tile holds at most ``_BLOCK_SLOTS`` slots, or else one whole run,
-    row, period or trace. A batch holds whole runs of active node-slots. A
-    fading tile spans the batch in whole node rows, or else in whole periods
-    of one row. A coverage tile holds whole traces, and its product takes at
-    most 16 times as many multiply-adds against the n_ids patterns:
-    OpenBLAS's bound for one thread, so no BLAS worker spins on a second
-    core, even in a pool worker. The sizes bound the float temporaries
-    whatever the run length; no size changes a byte.
+    row or period. A batch holds whole runs of active node-slots. A fading
+    tile spans the batch in whole node rows, or else in whole periods of one
+    row. The sizes bound the float temporaries whatever the run length; no
+    size changes a byte.
     """
     run_slots = n_periods * t_slots
     batch = max(1, _BLOCK_SLOTS // (max(n_active, 1) * run_slots))
     rows = min(n_active, max(1, _BLOCK_SLOTS // (batch * run_slots)))
     periods = min(n_periods, max(1, _BLOCK_SLOTS // (batch * t_slots)))
-    return batch, rows, periods, max(1, 16 * _BLOCK_SLOTS // (t_slots * max(n_ids, 16)))
+    return batch, rows, periods
 
 
 def simulate_run_traces(
     cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seeds: Sequence[int],
-    plan: tuple[int, ...] | None = None, workspace: tuple[np.ndarray, ...] | None = None,
+    workspace: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Realise the channel of a batch of runs, which every interference rate shares.
 
@@ -330,12 +327,12 @@ def simulate_run_traces(
     normals of ``standard_complex_normal``, yields every real part before
     any imaginary part, both node-major. So the real parts of every given
     run are drawn and held whole (8 bytes per node-slot), and the imaginary
-    parts are drawn in stream order, one fading tile of ``plan`` (by default
-    ``tile_plan`` of these shapes) at a time, each filtered, thresholded and
-    ANDed with its pattern rows at once, its AR(1) gains continuing from the
-    previous tile of the same nodes. No run-length complex array exists. A
-    tile's noise and envelope reuse ``workspace``, flat complex and float arrays
-    of at least a tile's node-slots, fresh by default.
+    parts are drawn in stream order, one fading tile of ``tile_plan`` at a
+    time, each filtered, thresholded and ANDed with its pattern rows at once,
+    its AR(1) gains continuing from the previous tile of the same nodes. No
+    run-length complex array exists. A tile's noise and envelope reuse
+    ``workspace``, flat complex and float arrays of at least a tile's
+    node-slots, fresh by default.
     """
     n_active, t_slots = active_patterns.shape
     n_runs, n_slots = len(run_seeds), n_periods * t_slots
@@ -359,7 +356,7 @@ def simulate_run_traces(
     budget_dbm = link_budget_dbm(positions.reshape(-1, 2), shadows.reshape(-1), cfg)
     budget_dbm = budget_dbm.reshape(n_runs, n_active, 1)
 
-    _, rows, periods, _ = plan or tile_plan(n_active, n_active, n_periods, t_slots)
+    _, rows, periods = tile_plan(n_active, n_periods, t_slots)
     size = n_runs * rows * periods * t_slots
     noise_buffer, envelope = workspace or (np.empty(size, dtype=np.complex128), np.empty(size))
     heard = np.zeros((n_runs, n_periods, t_slots), dtype=bool)
@@ -386,7 +383,7 @@ def simulate_run_traces(
 
 
 def score_traces(
-    patterns: np.ndarray, traces: np.ndarray, n_active: int, filter_lens: Sequence[int], step=1
+    patterns: np.ndarray, traces: np.ndarray, n_active: int, filter_lens: Sequence[int]
 ) -> np.ndarray:
     """Identify after every period and tally (tp, fn, tn, fp) for each filter length.
 
@@ -394,8 +391,8 @@ def score_traces(
     active ids first; ``traces`` holds per-period union traces, shape
     (..., n_periods, t_slots). With a filter length of 2 or more, each
     period is scored on the OR of the window accumulated so far, so every
-    period yields one identification event, in coverage tiles of ``step``
-    traces. Returns int64 counts of shape (..., len(filter_lens), 4).
+    period yields one identification event. Returns int64 counts of shape
+    (..., len(filter_lens), 4).
     """
     # A window under 2 leaves the traces as they are; skipping the call for
     # it keeps the benchmark's filter_apply span to filtered scoring.
@@ -403,7 +400,7 @@ def score_traces(
         [filter_apply(traces, m) if m >= 2 else traces for m in filter_lens], axis=-3
     )
     n_periods = traces.shape[-2]
-    accepted = n_periods - uncovered(observed, patterns, step).sum(axis=-2, dtype=np.int64)
+    accepted = n_periods - uncovered(observed, patterns).sum(axis=-2, dtype=np.int64)
     hits = accepted[..., :n_active].sum(axis=-1)
     false_hits = accepted[..., n_active:].sum(axis=-1)
     n_silent = len(patterns) - n_active
@@ -423,9 +420,9 @@ def _chunk_counts(
 ) -> list[np.ndarray]:
     """Counts of each (period index, p index) grid cell of a chunk, summed over its runs.
 
-    A cell's runs are realised and scored in the batches and tiles of its
-    ``tile_plan``, each batch deriving its own run seeds, in one workspace sized
-    for the chunk's largest fading tile. Each run's channel is realised once and
+    A cell's runs are realised and scored in the batches of its ``tile_plan``,
+    each batch deriving its own run seeds, in one workspace sized for the
+    chunk's largest fading tile. Each run's channel is realised once and
     observed at every interference rate. Returns int64 (tp, fn, tn, fp) counts
     of shape (interference rates, filter lengths, 4) per cell.
     """
@@ -433,20 +430,20 @@ def _chunk_counts(
     for ti, _ in cells:
         t_slots = cfg.slots_per_period(cfg.period_ms[ti])
         n_periods = cfg.periods_per_run(cfg.period_ms[ti])
-        plans.append((t_slots, n_periods, tile_plan(cfg.n_active, cfg.n_nodes, n_periods, t_slots)))
-    size = max(min(b, cfg.runs) * rows * periods * t for t, _, (b, rows, periods, _) in plans)
+        plans.append((t_slots, n_periods, tile_plan(cfg.n_active, n_periods, t_slots)))
+    size = max(min(b, cfg.runs) * rows * periods * t for t, _, (b, rows, periods) in plans)
     workspace = np.empty(size, dtype=np.complex128), np.empty(size)
     rates = np.array(cfg.interference_rate)[:, None, None, None]
     chunk_counts = []
-    for (ti, pi), (t_slots, n_periods, plan) in zip(cells, plans):
+    for (ti, pi), (t_slots, n_periods, (batch, _, _)) in zip(cells, plans):
         patterns = generate_pattern(cfg.roster(), cfg.p[pi], t_slots)
         active = patterns[: cfg.n_active]
         counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
-        for first in range(0, cfg.runs, plan[0]):
-            seeds = [run_seed_for(cfg, ti, pi, r) for r in range(first, cfg.runs)[: plan[0]]]
-            heard, draws = simulate_run_traces(cfg, active, n_periods, seeds, plan, workspace)
+        for first in range(0, cfg.runs, batch):
+            seeds = [run_seed_for(cfg, ti, pi, r) for r in range(first, cfg.runs)[:batch]]
+            heard, draws = simulate_run_traces(cfg, active, n_periods, seeds, workspace)
             traces = heard | (draws < rates)
-            counts += score_traces(patterns, traces, cfg.n_active, filter_lens, plan[3]).sum(axis=1)
+            counts += score_traces(patterns, traces, cfg.n_active, filter_lens).sum(axis=1)
             # Freed before the next batch realises its channel: holding them across
             # the realisation fragments the heap and raises peak memory.
             del heard, draws, traces

@@ -87,25 +87,6 @@ def ref_coverage_prob(n: int, p: float, k: int) -> float:
     return (1 - (1 - p) ** n) ** k
 
 
-def ref_ideal_expected_fp(
-    roster, n_active: int, p: float, t_slots: int, n_periods: int, rate: float, filter_len: int
-) -> float:
-    """Expected false positives per run of an ideal-channel cell: sum_j sum_k (1 - (1-r)^w_k)^d_j.
-
-    Every active beep is heard, so the union U of the first ``n_active``
-    roster ids' patterns is the trace of every period before interference.
-    Silent id j is accepted in period k exactly when interference, at rate
-    ``rate`` per slot and period, hits each of its d_j = |P_j - U| beep
-    slots outside U in one of the w_k = min(k+1, m) periods its window ORs
-    (w_k = 1 for a filter_len m below 2).
-    """
-    patterns = [ref_pattern_slots(device_id, p, t_slots) for device_id in roster]
-    union = [any(pattern[t] for pattern in patterns[:n_active]) for t in range(t_slots)]
-    outside = [sum(b and not u for b, u in zip(pattern, union)) for pattern in patterns[n_active:]]
-    windows = [min(k + 1, filter_len) if filter_len >= 2 else 1 for k in range(n_periods)]
-    return sum((1 - (1 - rate) ** w) ** d for d in outside for w in windows)
-
-
 def ref_uncovered(observed: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """The coverage rule as one boolean matrix product: True where an id has an unobserved beep."""
     return ~observed @ patterns.T
@@ -218,6 +199,52 @@ def _ref_run_draws(cfg, n_active: int, n_slots: int, run_seed: int):
     return draws, positions, shadows, rho, g0, noise
 
 
+def _ref_budget_dbm(cfg, positions: np.ndarray, shadows: np.ndarray) -> np.ndarray:
+    """Each node's TX power less its log-distance pathloss (clamped below 1 m), plus its shadow."""
+    offsets = positions - np.array([cfg.area_m / 2.0, cfg.area_m / 2.0])
+    pl = cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * np.log10(
+        np.maximum(np.hypot(*offsets.T), 1.0)
+    )
+    return cfg.tx_power_dbm - pl + shadows
+
+
+def ref_expected_counts(cfg, patterns, n_periods: int, run_seed: int, rate: float, filter_len: int):
+    """One run's expected (TP, FP), given its own layout and shadowing, where that is exact.
+
+    ``patterns`` holds the roster's patterns, the first ``cfg.n_active``
+    active. Node i hears a beep with q_i = exp(-10^((s - b_i)/10)), since
+    |g|^2 is Exp(1), its link budget b_i redrawn from the run's channel
+    stream; on the ideal channel q_i = 1. Id j is accepted in period k when
+    each slot of its pattern is observed in one of the w_k = min(k+1, m)
+    periods its window ORs (w_k = 1 for m below 2). With slots independent
+    (rho = 0 or the ideal channel) that is
+    prod_{s in P_j} (1 - ((1-r) prod_{i active, P_i(s)} (1-q_i))^w_k).
+    At rho = 1 each node hears all of its beeps of the run or none: the same
+    form given the heard set H, over the 2^n_active sets H with weight
+    prod_{i in H} q_i prod_{i not in H} (1-q_i).
+    """
+    n_active = cfg.n_active
+    rho, deaf = 0.0, np.zeros(n_active)  # deaf: 1 - q_i
+    if not cfg.ideal_channel:
+        _, positions, shadows, rho, _, _ = _ref_run_draws(cfg, n_active, 0, run_seed)
+        budget = _ref_budget_dbm(cfg, positions[:n_active], shadows[:n_active])
+        deaf = 1.0 - np.exp(-(10.0 ** ((cfg.sensitivity_dbm - budget) / 10.0)))
+    active = patterns[:n_active]
+    if rho == 0.0:
+        weights, unheard = np.ones(1), np.where(active, deaf[:, None], 1.0).prod(axis=0)[None]
+    elif rho == 1.0:
+        heard = (np.arange(2**n_active)[:, None] >> np.arange(n_active)) & 1 == 1
+        weights, unheard = np.where(heard, 1.0 - deaf, deaf).prod(axis=1), ~(heard @ active)
+    else:
+        raise ValueError(f"the expectation is exact at rho 0 and 1, not {rho}")
+    windows = np.array([min(k + 1, filter_len) if filter_len >= 2 else 1 for k in range(n_periods)])
+    # Shape (sets, 1, periods, slots): a slot unobserved throughout a period's window.
+    dark = ((1.0 - rate) * unheard)[:, None, None, :] ** windows[:, None]
+    accepted = np.where(patterns[:, None, :], 1.0 - dark, 1.0).prod(axis=-1).sum(axis=-1)
+    expected = weights @ accepted
+    return expected[:n_active].sum(), expected[n_active:].sum()
+
+
 def ref_realise_run(cfg, active_patterns: np.ndarray, n_periods: int, run_seed: int):
     """One run's (heard, draws) with the whole run's fading and link budget in one block.
 
@@ -230,13 +257,9 @@ def ref_realise_run(cfg, active_patterns: np.ndarray, n_periods: int, run_seed: 
         cfg, n_active, n_periods * t_slots, run_seed
     )
     gains = ref_rayleigh_sequence(g0, rho, noise)
-    offsets = positions[:n_active] - np.array([cfg.area_m / 2.0, cfg.area_m / 2.0])
-    pl = cfg.pathloss_ref_db + 10.0 * cfg.pathloss_exponent * np.log10(
-        np.maximum(np.hypot(*offsets.T), 1.0)
-    )
     with np.errstate(divide="ignore"):
         fade_db = 20.0 * np.log10(np.abs(gains))
-    rx_dbm = (cfg.tx_power_dbm - pl + shadows[:n_active])[:, None] + fade_db
+    rx_dbm = _ref_budget_dbm(cfg, positions[:n_active], shadows[:n_active])[:, None] + fade_db
     above = rx_dbm >= cfg.sensitivity_dbm
     above |= cfg.ideal_channel  # an ideal channel delivers every beep
     above = above.reshape(n_active, n_periods, t_slots)

@@ -162,9 +162,10 @@ def test_compare_filter_csv(config_path, tmp_path):
 TOO_BIG = "1" + "0" * 400
 
 # Every refusal of the CLI: an id, an argv split at spaces, and the texts its
-# refusal must name. In an argv and its texts, {config} is BASE_CONFIG,
-# {broken} a file that is not JSON and {latin1} one that is not UTF-8, all
-# three in the directory {dir}.
+# refusal must name. In an argv and its texts, {config} is BASE_CONFIG, also
+# at {plot} with the gnuplot script's suffix, {broken} a file that is not
+# JSON, {latin1} one that is not UTF-8 and {twice} one that gives a key
+# twice, all in the directory {dir}.
 REFUSALS = [
     # The closed forms check n, p, T and the target; analyze reports their refusal.
     ("analyze-n=0", "analyze --n 0", "station count n"),
@@ -187,6 +188,7 @@ REFUSALS = [
     ("config-malformed", "sweep --config {broken}", "{broken} is not valid JSON"),
     ("config-a-directory", "simulate --config {dir}", "{dir} cannot be read"),
     ("config-latin1", "simulate --config {latin1}", "{latin1} is not UTF-8"),
+    ("config-key-twice", "simulate --config {twice}", "config file gives key 'runs' twice"),
     # Overrides. Only one trailing comma may follow a grid value; every other
     # part is a number.
     *(
@@ -231,6 +233,18 @@ REFUSALS = [
         )
         for command in ("simulate", "sweep", "compare-filter")
     ),
+    # No output may replace the config file it was run from.
+    ("out-on-config", "simulate --config {config} --out {config}", "would overwrite the --config"),
+    (
+        "dump-config-on-config",
+        "sweep --config {config} --dump-config {config}",
+        "--dump-config {config} would overwrite the --config file",
+    ),
+    (
+        "gnuplot-on-config",
+        "sweep --config {plot} --out {dir}/config.csv --emit-gnuplot",
+        "--emit-gnuplot {plot} would overwrite the --config file",
+    ),
     (
         "gnuplot-on-dumped-config",
         "sweep --config {config} --out {dir}/plot.csv --emit-gnuplot --dump-config {dir}/plot.gp",
@@ -255,11 +269,15 @@ def _refuse_sweep(*args, **kwargs):
 def test_refusal_exits_1_before_any_run_and_names_its_cause(
     tmp_path, monkeypatch, capsys, argv, named
 ):
-    files = {name: tmp_path / f"{name}.json" for name in ("config", "broken", "latin1")}
-    files["config"].write_text(json.dumps(BASE_CONFIG))
+    files = {name: tmp_path / f"{name}.json" for name in ("config", "broken", "latin1", "twice")}
+    files["plot"] = tmp_path / "config.gp"
+    for name in ("config", "plot"):
+        files[name].write_text(json.dumps(BASE_CONFIG))
     files["broken"].write_text("{not json")
     files["latin1"].write_bytes('{"runs": 2, "note": "caf\xe9"}'.encode("latin-1"))
-    listing = sorted(tmp_path.rglob("*"))
+    files["twice"].write_text('{"runs": 1, "ideal_channel": true, "runs": 2}')
+    # Every path with a file's bytes: an overwritten file keeps the listing.
+    tree = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
     # Stubbed under the evaluators, so that their own checks of threads and
     # filter_len are refusals too.
     monkeypatch.setattr(montecarlo, "_chunk_counts", _refuse_sweep)
@@ -269,7 +287,7 @@ def test_refusal_exits_1_before_any_run_and_names_its_cause(
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error:")
     assert all(text.format(**places) in captured.err for text in named), captured.err
-    assert sorted(tmp_path.rglob("*")) == listing
+    assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == tree
 
 
 # Pairs of overrides that must write the same CSV bytes.

@@ -1,6 +1,7 @@
 """Subset identification and the OR-filter."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from beepid.fingerprint import generate_pattern
 from beepid.identify import IdSet, filter_apply, filter_push, identify, uncovered
-from beepid.montecarlo import tile_plan
 from oracles import ref_pattern_bits, ref_uncovered
 
 
@@ -43,19 +43,23 @@ def _coverage_cases(draw):
     observed = draw(arrays(np.bool_, (*lead, t_slots), elements=traces))
     beeps = draw(st.sampled_from([st.booleans(), st.just(False)]))
     patterns = draw(arrays(np.bool_, (draw(st.integers(0, 40)), t_slots), elements=beeps))
-    # Up to 64 traces: a step past the count is one short tile.
-    return draw(st.integers(1, 70)), observed, patterns
+    # A bound of up to 70 traces' products: up to 64 traces, a tile past the
+    # count is one short tile; a bound below one trace's product still takes one.
+    muladds = draw(st.integers(1, 70 * t_slots * max(len(patterns), 16)))
+    return muladds, observed, patterns
 
 
 @settings(max_examples=300, deadline=None)
 @given(_coverage_cases())
 # Tiles of 2 traces over 5 traces: tiles of 2, 2 and a short last one of 1.
-@example((2, np.arange(15).reshape(5, 3) % 4 > 0, generate_pattern(range(1, 7), 0.5, 3)))
+@example((2 * 3 * 16, np.arange(15).reshape(5, 3) % 4 > 0, generate_pattern(range(1, 7), 0.5, 3)))
 # 24 ids of 3 slots in tiles of one trace each.
-@example((1, np.arange(15).reshape(5, 3) % 4 > 0, generate_pattern(range(1, 25), 0.5, 3)))
+@example((3 * 24, np.arange(15).reshape(5, 3) % 4 > 0, generate_pattern(range(1, 25), 0.5, 3)))
 def test_tiled_coverage_matches_boolean_product(case):
-    step, observed, patterns = case
-    missed = uncovered(observed, patterns, step)
+    muladds, observed, patterns = case
+    # By its import path: ``beepid.identify`` as an attribute is the function.
+    with mock.patch("beepid.identify._TILE_MULADDS", muladds):
+        missed = uncovered(observed, patterns)
     assert missed.dtype == bool
     assert np.array_equal(missed, ref_uncovered(observed, patterns))
     assert missed.shape == observed.shape[:-1] + (len(patterns),)
@@ -78,10 +82,8 @@ def test_coverage_tiles_stay_within_one_blas_thread(n_ids, traces_per_tile):
     # 600 traces of 100 slots, as at a grid point of 1000 ms periods.
     observed = np.random.default_rng(3).random((6, 2, 50, 100)) < 0.7
     patterns = generate_pattern(range(1, n_ids + 1), 0.3, 100)
-    step = tile_plan(5, n_ids, 50, 100)[3]
-    assert step == traces_per_tile
     _TileLog.products = []
-    missed = uncovered(observed.view(_TileLog), patterns, step)
+    missed = uncovered(observed.view(_TileLog), patterns)
     assert np.array_equal(missed, ref_uncovered(observed, patterns))
     # OpenBLAS runs sgemm on one thread up to 65536 * 4 multiply-adds.
     assert all(math.prod(shape) <= 65536 * 4 for shape in _TileLog.products)
