@@ -50,7 +50,7 @@ DEFAULT_IR_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 _STREAM_CHANNEL = 1
 _STREAM_INTERFERENCE = 2
 
-_BLOCK_SLOTS = 1 << 14  # the fading tile size, which tile_plan alone reads
+_BLOCK_SLOTS = 1 << 14  # the node-slots of a batch and of a fading tile
 
 
 class ConfigError(ValueError):
@@ -294,20 +294,27 @@ class FilterComparison:
         return self.tp_gain - self.tn_loss
 
 
-def tile_plan(n_active: int, n_periods: int, t_slots: int) -> tuple[int, int, int]:
-    """The fading tile rule of a grid cell: ``(batch, rows, periods)``.
+def _fading_tile(n_runs: int, n_active: int, n_periods: int, t_slots: int) -> tuple[int, int]:
+    """The ``(rows, periods)`` of a fading tile over ``n_runs`` runs.
 
-    Each tile holds at most ``_BLOCK_SLOTS`` slots, or else one whole run,
-    row or period. A batch holds whole runs of active node-slots. A fading
-    tile spans the batch in whole node rows, or else in whole periods of one
-    row. The sizes bound the float temporaries whatever the run length; no
-    size changes a byte.
+    A tile spans the runs in whole node rows, or else in whole periods of
+    one row, and holds at most ``_BLOCK_SLOTS`` node-slots, or else one
+    period of one row of each run. The size bounds the float temporaries
+    whatever the run length and run count; no size changes a byte.
     """
-    run_slots = n_periods * t_slots
-    batch = max(1, _BLOCK_SLOTS // (max(n_active, 1) * run_slots))
-    rows = min(n_active, max(1, _BLOCK_SLOTS // (batch * run_slots)))
-    periods = min(n_periods, max(1, _BLOCK_SLOTS // (batch * t_slots)))
-    return batch, rows, periods
+    rows = min(n_active, max(1, _BLOCK_SLOTS // (n_runs * n_periods * t_slots)))
+    return rows, min(n_periods, max(1, _BLOCK_SLOTS // (n_runs * t_slots)))
+
+
+def tile_plan(n_active: int, n_periods: int, t_slots: int) -> tuple[int, int, int]:
+    """The tiles of a grid cell: ``(batch, rows, periods)``.
+
+    A batch holds whole runs of at most ``_BLOCK_SLOTS`` active node-slots,
+    or else one run, and each batch goes in fading tiles of ``rows`` node
+    rows of ``periods`` periods.
+    """
+    batch = max(1, _BLOCK_SLOTS // (max(n_active, 1) * n_periods * t_slots))
+    return (batch, *_fading_tile(batch, n_active, n_periods, t_slots))
 
 
 def simulate_run_traces(
@@ -327,7 +334,7 @@ def simulate_run_traces(
     normals of ``standard_complex_normal``, yields every real part before
     any imaginary part, both node-major. So the real parts of every given
     run are drawn and held whole (8 bytes per node-slot), and the imaginary
-    parts are drawn in stream order, one fading tile of ``tile_plan`` at a
+    parts are drawn in stream order, one fading tile of the given runs at a
     time, each filtered, thresholded and ANDed with its pattern rows at once,
     its AR(1) gains continuing from the previous tile of the same nodes. No
     run-length complex array exists. A tile's noise and envelope reuse
@@ -356,7 +363,7 @@ def simulate_run_traces(
     budget_dbm = link_budget_dbm(positions.reshape(-1, 2), shadows.reshape(-1), cfg)
     budget_dbm = budget_dbm.reshape(n_runs, n_active, 1)
 
-    _, rows, periods = tile_plan(n_active, n_periods, t_slots)
+    rows, periods = _fading_tile(n_runs, n_active, n_periods, t_slots)
     size = n_runs * rows * periods * t_slots
     noise_buffer, envelope = workspace or (np.empty(size, dtype=np.complex128), np.empty(size))
     heard = np.zeros((n_runs, n_periods, t_slots), dtype=bool)

@@ -158,23 +158,25 @@ def test_interference_fraction_matches_rate():
     ],
     ids=["ideal-50-0.3", "ideal-100-0.1", "ideal-200-0.5", "rho0-100-0.3", "rho1-100-0.3"],
 )
-def test_cell_counts_match_their_exact_expectation(period_ms, p, channel, rates):
+def test_cell_counts_match_their_exact_expectation(monkeypatch, period_ms, p, channel, rates):
     # A run's TP and FP have an exact expectation given its own layout and
     # shadowing (ref_expected_counts), so each run's count less it has mean 0.
     # The ids of a period share its interference draws, and a window shares
     # them with its neighbours, so the z-score is clustered by run. On the
     # ideal channel TP, and FP at r = 0, equal their expectation in every run:
     # with no spread the bound asks for exactly that.
-    default = SimConfig.from_dict(json.loads(DEFAULT_CONFIG.read_text()))
-    cfg = dataclasses.replace(
-        default, runs=200, master_seed=1, period_ms=(period_ms,), p=(p,),
-        interference_rate=rates, filter_len=6, **channel,
+    cfg = _default_cfg(
+        runs=200, master_seed=1, period_ms=[period_ms], p=[p], interference_rate=list(rates),
+        filter_len=6, **channel,
     )
     filter_lens = (0, cfg.filter_len)
     t_slots, n_periods = cfg.slots_per_period(period_ms), cfg.periods_per_run(period_ms)
     patterns = generate_pattern(cfg.roster(), p, t_slots)
     seeds = [run_seed_for(cfg, 0, 0, run) for run in range(cfg.runs)]
+    tiles = _fading_tiles(monkeypatch)
     heard, draws = simulate_run_traces(cfg, patterns[: cfg.n_active], n_periods, seeds)
+    # 200 runs, many batches' worth, still go in tiles within the bound.
+    assert all(rows * slots <= montecarlo._BLOCK_SLOTS for rows, slots in tiles)
     traces = heard | (draws < np.array(rates)[:, None, None, None])
     counts = score_traces(patterns, traces, cfg.n_active, filter_lens)
     records = [
@@ -385,6 +387,24 @@ def test_a_grid_call_does_not_fault_in_fresh_tiles():
     assert int(done.stdout) < 1000
 
 
+def _cell_plans(cfg: SimConfig) -> list:
+    cells = [(cfg.periods_per_run(t), cfg.slots_per_period(t)) for t in cfg.period_ms]
+    return [tile_plan(cfg.n_active, *cell) for cell in cells]
+
+
+def test_tile_plan_is_pinned_on_the_benchmark_cells():
+    # filter-compare-m6: a cell's 10 runs of 5 x 500 node-slots (495 at
+    # 150 ms periods) go in batches of 6 and 4 runs, each batch one fading
+    # tile of all 5 rows and every period.
+    cfg = _default_cfg(runs=10, filter_len=6)
+    assert _cell_plans(cfg) == [(6, 5, cfg.periods_per_run(t)) for t in cfg.period_ms]
+    # long-run: 3600 periods of 100 slots, each run a batch of its own. 163
+    # periods fill a tile, so a node row goes in 22 spans of 163 periods and
+    # one of 14.
+    cfg = _default_cfg(period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0)
+    assert _cell_plans(cfg) == [(1, 1, 163)]
+
+
 @st.composite
 def _tiled_runs(draw):
     n_active = draw(st.integers(0, 8))
@@ -398,39 +418,42 @@ def _tiled_runs(draw):
     patterns = draw(arrays(np.bool_, (n_active, draw(st.integers(1, 20)))))
     n_periods = draw(st.integers(1, 30))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), max_size=7))
-    # A tile bound up to two runs: whole periods of some rows, or spans of one row.
-    block = draw(st.integers(1, 2 * max(n_active, 1) * n_periods * patterns.shape[1]))
-    return block, cfg, patterns, n_periods, seeds
+    # Fading tiles of whole periods of some rows, or spans of one row.
+    if draw(st.booleans()):
+        rows, periods = draw(st.integers(1, max(n_active, 1))), n_periods
+    else:
+        rows, periods = 1, draw(st.integers(1, n_periods))
+    return (rows, periods), cfg, patterns, n_periods, seeds
 
 
-def _tiled_run(block: int, n_active: int, t_slots: int, n_periods: int, runs: int = 1):
+def _tiled_run(rows: int, periods: int, n_active: int, t_slots: int, n_periods: int, runs: int = 1):
     cfg = SimConfig(n_active=n_active)
     patterns = generate_pattern(cfg.roster()[:n_active], 0.5, t_slots)
-    return block, cfg, patterns, n_periods, list(range(7, 7 + runs))
+    return (rows, periods), cfg, patterns, n_periods, list(range(7, 7 + runs))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_tiled_runs())
 # Rows of 20 slots, 3 to a tile: row groups of 3, 3 and 2.
-@example(_tiled_run(60, n_active=8, t_slots=5, n_periods=4))
+@example(_tiled_run(3, 4, n_active=8, t_slots=5, n_periods=4))
 # Three runs of rows of 35 slots: tiles of one row of the three, one period each.
-@example(_tiled_run(5, n_active=2, t_slots=5, n_periods=7, runs=3))
+@example(_tiled_run(1, 1, n_active=2, t_slots=5, n_periods=7, runs=3))
 # The same in spans of 2, 2, 2 and 1 periods.
-@example(_tiled_run(10, n_active=2, t_slots=5, n_periods=7, runs=3))
+@example(_tiled_run(1, 2, n_active=2, t_slots=5, n_periods=7, runs=3))
 # Periods of 20 slots, one per tile.
-@example(_tiled_run(20, n_active=3, t_slots=20, n_periods=2))
+@example(_tiled_run(1, 1, n_active=3, t_slots=20, n_periods=2))
 # Seven runs of 2 x 10 node-slots: tiles of one row of the seven, one period each.
-@example(_tiled_run(5, n_active=2, t_slots=5, n_periods=2, runs=7))
+@example(_tiled_run(1, 1, n_active=2, t_slots=5, n_periods=2, runs=7))
 # Two runs of 5 rows of 10 slots: whole rows of both, in groups of 3 and 2.
-@example(_tiled_run(30, n_active=5, t_slots=5, n_periods=2, runs=2))
+@example(_tiled_run(3, 2, n_active=5, t_slots=5, n_periods=2, runs=2))
 def test_tiled_realisation_matches_single_block_oracle(case):
-    block, cfg, patterns, n_periods, seeds = case
-    with mock.patch.object(montecarlo, "_BLOCK_SLOTS", block):
+    (rows, periods), cfg, patterns, n_periods, seeds = case
+    # A bound of exactly the drawn tile over all the given runs.
+    size = max(len(seeds), 1) * rows * periods * patterns.shape[1]
+    with mock.patch.object(montecarlo, "_BLOCK_SLOTS", size):
         heard, draws = simulate_run_traces(cfg, patterns, n_periods, seeds)
-        _, rows, periods = tile_plan(len(patterns), n_periods, patterns.shape[1])
         # A larger workspace left holding stale values gives the same traces.
-        size = len(seeds) * rows * periods * patterns.shape[1] + 3
-        stale = np.full(size, complex(np.nan, np.inf)), np.full(size, -np.inf)
+        stale = np.full(size + 3, complex(np.nan, np.inf)), np.full(size + 3, -np.inf)
         again = simulate_run_traces(cfg, patterns, n_periods, seeds, stale)
     assert heard.shape == draws.shape == (len(seeds), n_periods, patterns.shape[1])
     for run, run_seed in enumerate(seeds):
