@@ -82,15 +82,23 @@ def filter_apply(unions: np.ndarray, filter_len: int) -> np.ndarray:
     """Each period's observation: the OR of the last filter_len traces of (..., periods, T).
 
     The window is partial until filter_len traces have arrived; a filter
-    shorter than 2 leaves the traces as they are.
+    shorter than 2 leaves the traces as they are. A copy of the traces is
+    ORed with itself lagged by 1, 2, 4, ... periods, each OR doubling the
+    window it holds, and last by the lag that takes the window to
+    filter_len: ceil(log2 filter_len) in-place ORs. A period before a lag
+    keeps its shorter window, which already reaches back to the first
+    period, so partial windows are exact. numpy buffers the overlapping
+    operands of each OR.
     """
     if filter_len < 2:
         return unions
-    heard_count = np.cumsum(unions, axis=-2, dtype=np.int32)
-    heard_count[..., filter_len:, :] = (
-        heard_count[..., filter_len:, :] - heard_count[..., :-filter_len, :]
-    )
-    return heard_count > 0
+    observed = np.array(unions, dtype=bool)
+    window = 1
+    while window < filter_len:
+        lag = min(window, filter_len - window)
+        observed[..., lag:, :] |= observed[..., :-lag, :]
+        window += lag
+    return observed
 
 
 def filter_push(recent: np.ndarray, trace: np.ndarray, filter_len: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything here is deliberately written against different machinery than
 the package (a Python-int SplitMix64 stepped word by word and a scorer on
 int bit masks instead of uint64 and bool arrays, one boolean coverage
-product instead of float32 tiles, a direct Taylor series
+product instead of float32 tiles, a windowed cumulative count instead of
+lagged ORs, a direct Taylor series
 instead of scipy, whole-array complex arithmetic instead of blocked float
 pairs, a per-node, per-slot scalar radio instead of the array link budget)
 so the two sides of each check cannot share a bug.
@@ -90,6 +91,17 @@ def ref_coverage_prob(n: int, p: float, k: int) -> float:
 def ref_uncovered(observed: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """The coverage rule as one boolean matrix product: True where an id has an unobserved beep."""
     return ~observed @ patterns.T
+
+
+def ref_filter_apply(unions: np.ndarray, filter_len: int) -> np.ndarray:
+    """The OR window as a count: a slot is observed where the last filter_len periods heard it."""
+    if filter_len < 2:
+        return unions
+    heard_count = np.cumsum(unions, axis=-2, dtype=np.int32)
+    heard_count[..., filter_len:, :] = (
+        heard_count[..., filter_len:, :] - heard_count[..., :-filter_len, :]
+    )
+    return heard_count > 0
 
 
 def bessel_j0_series(x: float) -> float:

@@ -4,11 +4,11 @@ Each override set is an edge that a change to the tiling, the seeding or
 the scoring could move: another master seed, a run of many fading tiles, a
 roster past the coverage tile's 16 ids, the ideal channel, no and all nodes
 active, p at 0 and 1, slots that do not divide the default periods, a
-static and a fast channel, a saturated one, and a period longer than a
-tile. The hashes were recorded before the tiling moved into
-``montecarlo.tile_plan``, the last row's before the tiles shared a
-realisation workspace; a change that keeps the contract leaves them as
-they are. On x86-64 every row also holds at numpy's baseline SIMD target.
+static and a fast channel, a saturated one, and a period of over half a
+tile (over a whole one when recorded). The hashes were recorded before
+the tiling moved into ``montecarlo.tile_plan``, the last row's before the
+tiles shared a realisation workspace; a change that keeps the contract
+leaves them as they are. On x86-64 every row also holds at numpy's baseline SIMD target.
 """
 
 import hashlib
@@ -75,9 +75,10 @@ MATRIX_SHA256 = {
         "6c6f428116e9e53bf153a5440cf85634437d2839cfe8966e998cfdb0740c8102",
         "1556d8caae45b0df1555f0096a368ff471b167f3405d1a379b105f1f9d82233f",
     ),
-    # A 20000-slot period, past the 16384-slot tile, in one chunk after cells
-    # whose tiles are 16 periods of 1000 slots: recorded before the realisation
-    # workspace, which the chunk's largest tile sizes.
+    # A 20000-slot period, one to a tile (past the 16384-slot tile it was
+    # recorded with), in one chunk after cells whose tiles are 32 periods of
+    # 1000 slots: recorded before the realisation workspace, which the
+    # chunk's largest tile sizes.
     ("slot_s=0.0001", "period_ms=100,2000", "sim_length_s=4", "p=0.1,0.5"): (
         "faa3c785910d73c6568588462f128cf64e2aadf95c509f46a303672e0608defb",
         "8c66dad1fe7a4ad2c2a8fa79bdfcdb48c7a5ddec6615f506589a27173b8add29",

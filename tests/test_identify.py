@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from beepid.fingerprint import generate_pattern
 from beepid.identify import IdSet, filter_apply, filter_push, identify, uncovered
-from oracles import ref_pattern_bits, ref_uncovered
+from oracles import ref_filter_apply, ref_pattern_bits, ref_uncovered
 
 
 def _trace(bits: int, t: int) -> np.ndarray:
@@ -168,6 +168,31 @@ def test_filter_apply_identity_on_singleton():
     traces = np.random.default_rng(3).random((5, 4)) < 0.5
     for filter_len in (0, 1):
         assert np.array_equal(filter_apply(traces, filter_len), traces)
+
+
+@st.composite
+def _windowed_traces(draw):
+    lead = draw(st.lists(st.integers(0, 3), max_size=2))
+    shape = (*lead, draw(st.integers(1, 40)), draw(st.integers(1, 8)))
+    return draw(arrays(np.bool_, shape))
+
+
+def _sparse_traces(periods: int) -> np.ndarray:
+    """Two runs of sparse traces of 8 slots: each window's OR shows its span."""
+    return np.random.default_rng(periods).random((2, periods, 8)) < 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_windowed_traces())
+# Windows one short of, at and one past 2^k for k up to 5 (the last lag is
+# then 2^(k-1) - 1, none or 1), and windows past the run's end.
+@example(_sparse_traces(40))
+@example(_sparse_traces(5))
+def test_or_window_matches_windowed_count(traces):
+    for filter_len in range(traces.shape[-2] + 4):
+        observed = filter_apply(traces, filter_len)
+        assert observed.dtype == bool
+        assert np.array_equal(observed, ref_filter_apply(traces, filter_len)), filter_len
 
 
 def test_filtered_popcount_dominates_members():

@@ -111,8 +111,8 @@ def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
 
 
 def test_each_batch_derives_its_own_run_seeds(monkeypatch):
-    # Runs of 5 nodes x 500 slots: 6 to a batch, so 14 runs make batches of
-    # 6, 6 and 2, and no batch's seeds are derived before the previous batch
+    # Runs of 5 nodes x 500 slots: 13 to a batch, so 27 runs make batches of
+    # 13, 13 and 1, and no batch's seeds are derived before the previous batch
     # is realised.
     calls = []
     seed_for, realise = montecarlo.run_seed_for, montecarlo.simulate_run_traces
@@ -127,8 +127,8 @@ def test_each_batch_derives_its_own_run_seeds(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "run_seed_for", logged_seed)
     monkeypatch.setattr(montecarlo, "simulate_run_traces", logged_realise)
-    sweep(_point_cfg(runs=14))
-    assert calls == ["seed"] * 6 + [6] + ["seed"] * 6 + [6] + ["seed"] * 2 + [2]
+    sweep(_point_cfg(runs=27))
+    assert calls == ["seed"] * 13 + [13] + ["seed"] * 13 + [13] + ["seed"] + [1]
 
 
 def test_interference_fraction_matches_rate():
@@ -281,9 +281,8 @@ def _multi_block_run():
     return cfg, patterns, n_periods, n_periods * patterns.shape[1]
 
 
-def test_realisation_memory_is_bounded_per_node_slot():
-    # Long enough that the per-block temporaries, a fixed few MB, do not
-    # dominate: what must stay bounded is the cost per node-slot.
+def _realisation_peak() -> tuple[int, int, int]:
+    """The traced peak bytes of one long run's realisation, its active nodes and its slots."""
     cfg, patterns, n_periods, n_slots = _multi_block_run()
     tracemalloc.start()
     try:
@@ -291,7 +290,22 @@ def test_realisation_memory_is_bounded_per_node_slot():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * cfg.n_active * n_slots
+    return peak, cfg.n_active, n_slots
+
+
+def test_realisation_memory_is_bounded_per_node_slot():
+    # Long enough that the per-block temporaries, a fixed few MB, do not
+    # dominate: what must stay bounded is the cost per node-slot.
+    peak, n_active, n_slots = _realisation_peak()
+    assert peak <= 12 * n_active * n_slots
+
+
+def test_interference_draws_never_overlap_the_realisation():
+    # The run's real parts (8 bytes a node-slot) and its interference draws
+    # (8 bytes a slot) are never held together: the draws come after the
+    # realisation has freed its arrays.
+    peak, n_active, n_slots = _realisation_peak()
+    assert peak < 8 * n_active * n_slots + 8 * n_slots
 
 
 def _fading_tiles(monkeypatch) -> list:
@@ -313,30 +327,31 @@ def _default_cfg(**overrides) -> SimConfig:
 
 def test_filter_compare_grid_is_realised_in_one_tile_per_batch(monkeypatch):
     # The benchmark's filter-compare-m6 grid. A cell's 10 runs of 5 x 500
-    # node-slots (495 at 150 ms periods) go in batches of 6 and 4 runs, each
-    # batch one tile.
+    # node-slots (495 at 150 ms periods) go in one batch of 10 runs, which
+    # is one tile.
     tiles = _fading_tiles(monkeypatch)
     compare_filtering(_default_cfg(runs=10, filter_len=6))
-    assert [rows for rows, _ in tiles] == [6 * 5, 4 * 5] * 30
+    assert [rows for rows, _ in tiles] == [10 * 5] * 30
     assert {slots for _, slots in tiles} == {495, 500}
 
 
 def test_long_run_is_realised_in_period_spans_of_one_node_row(monkeypatch):
     # The benchmark's long-run point: 3600 periods of 100 slots and 5 active
-    # nodes a run, each run a batch of its own. 163 periods fill a tile, so
-    # a node row goes in 22 spans of 163 periods and one of 14.
+    # nodes a run, each run a batch of its own. 327 periods fill a tile, so
+    # a node row goes in 11 spans of 327 periods and one of 3.
     cfg = _default_cfg(
         period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0, runs=2
     )
     tiles = _fading_tiles(monkeypatch)
     montecarlo._chunk_counts(cfg, (0,), [(0, 0)])
-    assert tiles == ([(1, 16300)] * 22 + [(1, 1400)]) * 5 * 2
+    assert tiles == ([(1, 32700)] * 11 + [(1, 300)]) * 5 * 2
 
 
 def test_a_serial_grid_realises_every_tile_in_one_workspace(monkeypatch):
     # A serial grid is one chunk of cells with one workspace, sized for its
-    # largest tile: 100 ms cells come first with tiles of 16 periods of 1000
-    # slots, and 2000 ms cells follow with one period of 20000. The blocks
+    # largest tile: 100 ms cells come first with tiles of 32 periods of 1000
+    # slots (and a last one of 8), and 2000 ms cells follow with one period
+    # of 20000. The blocks
     # are held, so no fresh buffer could take the memory of an earlier one.
     blocks = []
     realise = montecarlo.rayleigh_sequence
@@ -350,7 +365,7 @@ def test_a_serial_grid_realises_every_tile_in_one_workspace(monkeypatch):
         runs=2, slot_s=0.0001, period_ms=[100, 2000], sim_length_s=4.0, p=[0.1, 0.5], filter_len=6
     )
     compare_filtering(cfg)
-    assert {block.size for block in blocks} == {16000, 8000, 20000}
+    assert {block.size for block in blocks} == {32000, 8000, 20000}
     assert all(np.shares_memory(block, blocks[0]) for block in blocks)
 
 
@@ -394,15 +409,15 @@ def _cell_plans(cfg: SimConfig) -> list:
 
 def test_tile_plan_is_pinned_on_the_benchmark_cells():
     # filter-compare-m6: a cell's 10 runs of 5 x 500 node-slots (495 at
-    # 150 ms periods) go in batches of 6 and 4 runs, each batch one fading
-    # tile of all 5 rows and every period.
+    # 150 ms periods) go in one batch of up to 13 runs, one fading tile of
+    # all 5 rows and every period.
     cfg = _default_cfg(runs=10, filter_len=6)
-    assert _cell_plans(cfg) == [(6, 5, cfg.periods_per_run(t)) for t in cfg.period_ms]
-    # long-run: 3600 periods of 100 slots, each run a batch of its own. 163
-    # periods fill a tile, so a node row goes in 22 spans of 163 periods and
-    # one of 14.
+    assert _cell_plans(cfg) == [(13, 5, cfg.periods_per_run(t)) for t in cfg.period_ms]
+    # long-run: 3600 periods of 100 slots, each run a batch of its own. 327
+    # periods fill a tile, so a node row goes in 11 spans of 327 periods and
+    # one of 3.
     cfg = _default_cfg(period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0)
-    assert _cell_plans(cfg) == [(1, 1, 163)]
+    assert _cell_plans(cfg) == [(1, 1, 327)]
 
 
 @st.composite
@@ -489,6 +504,15 @@ def test_matrix_scorer_matches_reference_scorer(case):
     counts = score_traces(patterns, union, n_active, (0, filter_len))
     assert tuple(counts[0]) == ref_score_traces(union, roster, roster[:n_active], p, 0)
     assert tuple(counts[1]) == ref_score_traces(union, roster, roster[:n_active], p, filter_len)
+
+
+def test_period_counts_above_255_are_exact():
+    # Every id misses each of 300 silent periods: a byte-wide count of the
+    # misses would wrap to 44 and accept 256 periods.
+    patterns = generate_pattern(range(1, 6), 1.0, 4)
+    traces = np.zeros((2, 300, 4), dtype=bool)
+    counts = score_traces(patterns, traces, 3, (0, 6))
+    assert counts.tolist() == [[[0, 3 * 300, 2 * 300, 0]] * 2] * 2
 
 
 def _reference_records(cfg: SimConfig, filter_len: int) -> list[MetricsRecord]:

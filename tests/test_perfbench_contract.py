@@ -86,12 +86,12 @@ def test_point_counts_call_the_traced_layers_through_module_globals(monkeypatch,
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, name, counted)
-    # Runs of 5 nodes x 500 slots: 6 to a batch, so 14 runs make batches of 6, 6 and 2.
-    cfg = montecarlo.SimConfig(runs=14, period_ms=(100,), p=(0.3,), interference_rate=(0.0, 0.1))
+    # Runs of 5 nodes x 500 slots: 13 to a batch, so 27 runs make batches of 13, 13 and 1.
+    cfg = montecarlo.SimConfig(runs=27, period_ms=(100,), p=(0.3,), interference_rate=(0.0, 0.1))
     seeds = [montecarlo.run_seed_for(cfg, 0, 0, r) for r in range(cfg.runs)]
     montecarlo._chunk_counts(cfg, filter_lens, [(0, 0)])
     batches = [list(args[3]) for args in calls["simulate_run_traces"]]
-    assert [len(batch) for batch in batches] == [6, 6, 2]
+    assert [len(batch) for batch in batches] == [13, 13, 1]
     assert [seed for batch in batches for seed in batch] == seeds
     assert len(calls["score_traces"]) == len(batches)
     # filter_apply runs for real windows only, so that its span counts
