@@ -127,16 +127,18 @@ def rayleigh_sequence(g0: np.ndarray, rho: float, noise: np.ndarray) -> np.ndarr
     The recursion has real coefficients, so it runs as a real filter over
     the (real, imag) float pairs of the noise, which is cheaper than a
     complex filter and performs the same real multiplies and adds on each
-    part. A long sequence may be filtered in blocks: passing the previous
-    block's last gains as ``g0`` continues it bit for bit. The block is
-    consumed: complex128 ``noise`` is scaled in place, so pass a copy to keep it.
+    part. The scale ``sqrt(1 - rho^2)`` is the filter's input coefficient:
+    each step computes ``rho * g + scale * w`` in the recursion's own order,
+    so ``noise`` is read, never written. A long sequence may be filtered in
+    blocks: passing the previous block's last gains as ``g0`` continues it
+    bit for bit.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("correlation must be in [0, 1]")
-    scaled = _pairs(np.asarray(noise, dtype=np.complex128))
-    np.multiply(math.sqrt(1.0 - rho * rho), scaled, out=scaled)
+    pairs = _pairs(np.asarray(noise, dtype=np.complex128))
     zi = _pairs(rho * np.asarray(g0, dtype=np.complex128))[:, None, :]
-    gains, _ = _linear_filter(np.array([1.0]), np.array([1.0, -rho]), scaled, 1, zi)
+    scale = np.array([math.sqrt(1.0 - rho * rho)])
+    gains, _ = _linear_filter(scale, np.array([1.0, -rho]), pairs, 1, zi)
     return gains.view(np.complex128)[..., 0]
 
 

@@ -50,10 +50,11 @@ DEFAULT_IR_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 _STREAM_CHANNEL = 1
 _STREAM_INTERFERENCE = 2
 
-# The node-slots of a batch and of a fading tile. A tile's arrays take about
-# 41 bytes a node-slot (complex noise, complex gains, a float envelope and the
-# flags), 1.3 MB at 2^15, within a 2 MB per-core L2 cache; 2^16 measured no
-# faster on a 2-core Xeon with 2 MB of L2 a core.
+# The node-slots of a batch and of a fading tile. A tile's arrays take at most
+# 41 bytes a node-slot (complex noise, complex gains, and where a node of the
+# tile beeps a float envelope and the flags), 1.3 MB at 2^15, within a 2 MB
+# per-core L2 cache; 2^16 measured no faster on a 2-core Xeon with 2 MB of L2
+# a core.
 _BLOCK_SLOTS = 1 << 15
 
 
@@ -356,11 +357,13 @@ def _realise_heard(
     any imaginary part, both node-major. So the real parts of every given
     run are drawn and held whole (8 bytes per node-slot), and the imaginary
     parts are drawn in stream order, one fading tile of the given runs at a
-    time, each filtered, thresholded and ANDed with its pattern rows at once,
-    its AR(1) gains continuing from the previous tile of the same nodes. No
-    run-length complex array exists, and the real parts die on return. A
-    tile's noise and envelope reuse ``workspace``, flat complex and float
-    arrays of at least a tile's node-slots, fresh by default.
+    time, each filtered at once, its AR(1) gains continuing from the previous
+    tile of the same nodes. A slot where no node of the tile's rows beeps is
+    heard by none of them, so only the gains of the rows' beep columns are
+    gathered, thresholded and ANDed with the rows' patterns. No run-length
+    complex array exists, and the real parts die on return. A tile's noise,
+    then its gathered gains, and their envelope reuse ``workspace``, flat
+    complex and float arrays of at least a tile's node-slots, fresh by default.
     """
     n_active, t_slots = active_patterns.shape
     n_runs, n_slots = len(run_seeds), n_periods * t_slots
@@ -379,7 +382,7 @@ def _realise_heard(
         rng.standard_normal(out=real[run])
     rho = doppler_correlation(cfg.velocity_kmph, cfg.carrier_hz, cfg.slot_s)
     budget_dbm = link_budget_dbm(positions.reshape(-1, 2), shadows.reshape(-1), cfg)
-    budget_dbm = budget_dbm.reshape(n_runs, n_active, 1)
+    budget_dbm = budget_dbm.reshape(n_runs, n_active, 1, 1)
 
     rows, periods = _fading_tile(n_runs, n_active, n_periods, t_slots)
     size = n_runs * rows * periods * t_slots
@@ -387,6 +390,8 @@ def _realise_heard(
     heard = np.zeros((n_runs, n_periods, t_slots), dtype=bool)
     for row in range(0, n_active, rows):
         nodes = slice(row, row + rows)
+        cols = np.flatnonzero(active_patterns[nodes].any(axis=0))
+        beeps = active_patterns[nodes][:, None, cols]
         g = gain[:, nodes].reshape(-1)
         for period in range(0, n_periods, periods):
             span = slice(period, period + periods)
@@ -399,11 +404,16 @@ def _realise_heard(
             np.multiply(parts, _INV_SQRT2, out=noise.imag)
             gains = rayleigh_sequence(g, rho, noise.reshape(len(g), -1))
             g = gains[:, -1]
-            rx_dbm = envelope[: gains.size].reshape(gains.shape)
-            flags = detect(gains, budget_dbm[:, nodes].reshape(-1, 1), cfg, rx_dbm)
-            flags = flags.reshape(parts.shape[:2] + (-1, t_slots))
-            flags &= active_patterns[nodes, None, :]
-            heard[:, span] |= flags.any(axis=1)
+            # Filtered, the noise is spent: its slots take the beep columns' gains.
+            # mode="clip" writes into out directly; "raise" would buffer it.
+            block = gains.reshape(parts.shape[:2] + (-1, t_slots))
+            shape = block.shape[:3] + cols.shape
+            picked = noise_buffer[: math.prod(shape)].reshape(shape)
+            np.take(block, cols, axis=-1, out=picked, mode="clip")
+            rx_dbm = envelope[: picked.size].reshape(picked.shape)
+            flags = detect(picked, budget_dbm[:, nodes], cfg, rx_dbm)
+            flags &= beeps
+            heard[:, span, cols] |= flags.any(axis=1)
     return heard
 
 

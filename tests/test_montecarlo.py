@@ -347,6 +347,27 @@ def test_long_run_is_realised_in_period_spans_of_one_node_row(monkeypatch):
     assert tiles == ([(1, 32700)] * 11 + [(1, 300)]) * 5 * 2
 
 
+def test_long_run_thresholds_only_the_beep_columns(monkeypatch):
+    # A long-run tile is a span of one node row, and a slot where that node
+    # does not beep cannot be heard from it, so detect sees the row's periods
+    # times its beep columns: about 20 of 100 slots at p = 0.2, not all 100.
+    cfg = _default_cfg(
+        period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0, runs=1
+    )
+    sizes = []
+    real = montecarlo.detect
+
+    def logged(gains, *args):
+        sizes.append(gains.size)
+        return real(gains, *args)
+
+    monkeypatch.setattr(montecarlo, "detect", logged)
+    montecarlo._chunk_counts(cfg, (0,), [(0, 0)])
+    n_periods, t_slots = cfg.periods_per_run(1000), cfg.slots_per_period(1000)
+    active = generate_pattern(cfg.roster()[: cfg.n_active], 0.2, t_slots)
+    assert sum(sizes) == sum(n_periods * np.count_nonzero(row) for row in active)
+
+
 def test_a_serial_grid_realises_every_tile_in_one_workspace(monkeypatch):
     # A serial grid is one chunk of cells with one workspace, sized for its
     # largest tile: 100 ms cells come first with tiles of 32 periods of 1000
@@ -441,9 +462,17 @@ def _tiled_runs(draw):
     return (rows, periods), cfg, patterns, n_periods, seeds
 
 
-def _tiled_run(rows: int, periods: int, n_active: int, t_slots: int, n_periods: int, runs: int = 1):
+def _tiled_run(
+    rows: int, periods: int, n_active: int, t_slots: int, n_periods: int, runs: int = 1,
+    beeps: list | None = None,
+):
+    """A tiled case; ``beeps``, if given, lists each node's beep slots in place of its pattern."""
     cfg = SimConfig(n_active=n_active)
     patterns = generate_pattern(cfg.roster()[:n_active], 0.5, t_slots)
+    if beeps is not None:
+        patterns[:] = False
+        for node, slots in enumerate(beeps):
+            patterns[node, slots] = True
     return (rows, periods), cfg, patterns, n_periods, list(range(7, 7 + runs))
 
 
@@ -461,6 +490,13 @@ def _tiled_run(rows: int, periods: int, n_active: int, t_slots: int, n_periods: 
 @example(_tiled_run(1, 1, n_active=2, t_slots=5, n_periods=2, runs=7))
 # Two runs of 5 rows of 10 slots: whole rows of both, in groups of 3 and 2.
 @example(_tiled_run(3, 2, n_active=5, t_slots=5, n_periods=2, runs=2))
+# A tile of two rows that never beep, so no column is thresholded, then a tile
+# of two rows that beep in slots 0, 1 and 4.
+@example(_tiled_run(2, 3, n_active=4, t_slots=6, n_periods=3, runs=2, beeps=[[], [], [1, 4], [0]]))
+# One tile of three rows with disjoint beep columns; slots 2, 4 and 7 are silent.
+@example(_tiled_run(3, 2, n_active=3, t_slots=8, n_periods=2, runs=2, beeps=[[0, 1], [3], [5, 6]]))
+# Every slot beeps, so every column of every tile is thresholded.
+@example(_tiled_run(1, 2, n_active=2, t_slots=5, n_periods=3, runs=2, beeps=[range(5)] * 2))
 def test_tiled_realisation_matches_single_block_oracle(case):
     (rows, periods), cfg, patterns, n_periods, seeds = case
     # A bound of exactly the drawn tile over all the given runs.

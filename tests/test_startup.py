@@ -60,7 +60,7 @@ for rho in rhos:
         [1.0], [1.0, -rho], math.sqrt(1.0 - rho * rho) * pairs(noise), axis=1, zi=zi
     )
     expected = gains.view(np.complex128)[..., 0]
-    assert np.array_equal(rayleigh_sequence(g0, rho, noise.copy()), expected), rho
+    assert np.array_equal(rayleigh_sequence(g0, rho, noise), expected), rho
 x = np.linspace(0.0, 50.0, 5001)
 assert np.array_equal(j0(x), scipy.special.j0(x))
 print(json.dumps(len(rhos)))
