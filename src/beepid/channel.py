@@ -27,9 +27,7 @@ measured and are dead ends. Importing ``lfilter`` and ``j0`` on first use
 only moves the cost from set-up into the first fading sweep. A numpy
 recursion ``y[n] = x[n] + rho*y[n-1]`` is bit-identical to the filter, but
 at the long-run shape (10 lanes x 360k slots) it is 17x slower (0.64 s
-against 0.037 s). Fresh tile arrays per batch cost 8,400 minor page faults
-(15-40 ms) per 180-cell ``compare_filtering`` call, so callers reuse the noise
-and envelope (``out``) arrays. ``scipy.signal._sosfilt`` filters in place,
+against 0.037 s). ``scipy.signal._sosfilt`` filters in place,
 bit-identically and 10% faster, but its import adds 8-12 ms of start-up.
 """
 

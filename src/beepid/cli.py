@@ -261,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="same as --set master_seed=SEED",
     )
     common.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    common.add_argument("--threads", type=int, default=1, help="worker processes")
+    common.add_argument(
+        "--threads", type=int, default=1, help="worker processes, at most one a grid cell and CPU"
+    )
     common.add_argument(
         "--dump-config", default=None, help="write the effective config JSON here"
     )

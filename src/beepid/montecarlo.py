@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -311,19 +312,6 @@ def _fading_tile(n_runs: int, n_active: int, n_periods: int, t_slots: int) -> tu
     return rows, min(n_periods, max(1, _BLOCK_SLOTS // (n_runs * t_slots)))
 
 
-def tile_plan(n_active: int, n_periods: int, t_slots: int) -> tuple[int, int, int]:
-    """The tiles of a grid cell: ``(batch, rows, periods)``.
-
-    A batch holds whole runs of at most ``_BLOCK_SLOTS`` active node-slots,
-    or else one run, and each batch goes in fading tiles of ``rows`` node
-    rows of ``periods`` periods. At 2^15 node-slots, runs of 5 x 500
-    node-slots go 13 to a batch, each batch one tile, and a run of 5 x
-    360000 node-slots goes in spans of 327 periods of 100 slots of one row.
-    """
-    batch = max(1, _BLOCK_SLOTS // (max(n_active, 1) * n_periods * t_slots))
-    return (batch, *_fading_tile(batch, n_active, n_periods, t_slots))
-
-
 def simulate_run_traces(
     cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seeds: Sequence[int],
     workspace: tuple[np.ndarray, ...] | None = None,
@@ -336,7 +324,9 @@ def simulate_run_traces(
     (len(run_seeds), n_periods, t_slots), one row per seed in order; a
     rate's traces are ``heard | (draws < rate)``. Each run's interference
     has a generator of its own, so it is drawn after the channel, once the
-    realisation's arrays are freed, and no draw order moves a byte.
+    realisation's arrays are freed, and no draw order moves a byte: a long
+    run peaks at about 9.2 bytes per active node-slot at 5 active nodes, not
+    the 10.4 of an 8-byte draw per slot held beside the real parts.
     """
     heard = _realise_heard(cfg, active_patterns, n_periods, run_seeds, workspace)
     draws = np.empty(heard.shape)
@@ -458,22 +448,25 @@ def _chunk_counts(
 ) -> list[np.ndarray]:
     """Counts of each (period index, p index) grid cell of a chunk, summed over its runs.
 
-    A cell's runs are realised and scored in the batches of its ``tile_plan``,
-    each batch deriving its own run seeds, in one workspace sized for the
-    chunk's largest fading tile. Each run's channel is realised once and
-    observed at every interference rate. Returns int64 (tp, fn, tn, fp) counts
-    of shape (interference rates, filter lengths, 4) per cell.
+    A cell's runs are realised and scored in batches of whole runs of at most
+    ``_BLOCK_SLOTS`` active node-slots, or else of one run, each batch deriving
+    its own run seeds. Each run's channel is realised once and observed at
+    every interference rate. Fresh fading tiles per batch would go back to
+    the kernel between batches and fault in again, about 8,400 minor page
+    faults (15-40 ms) per 180-cell ``compare_filtering`` call, so the chunk
+    realises every tile in one workspace. By ``_fading_tile`` a tile holds at
+    most ``_BLOCK_SLOTS`` node-slots, or one period of a one-run batch, so
+    the workspace holds the larger. Returns int64 (tp, fn, tn, fp) counts of
+    shape (interference rates, filter lengths, 4) per cell.
     """
-    plans = []
-    for ti, _ in cells:
-        t_slots = cfg.slots_per_period(cfg.period_ms[ti])
-        n_periods = cfg.periods_per_run(cfg.period_ms[ti])
-        plans.append((t_slots, n_periods, tile_plan(cfg.n_active, n_periods, t_slots)))
-    size = max(min(b, cfg.runs) * rows * periods * t for t, _, (b, rows, periods) in plans)
+    periods_ms = [cfg.period_ms[ti] for ti, _ in cells]
+    shapes = [(cfg.slots_per_period(t), cfg.periods_per_run(t)) for t in periods_ms]
+    size = max(_BLOCK_SLOTS, *(t_slots for t_slots, _ in shapes))
     workspace = np.empty(size, dtype=np.complex128), np.empty(size)
     rates = np.array(cfg.interference_rate)[:, None, None, None]
     chunk_counts = []
-    for (ti, pi), (t_slots, n_periods, (batch, _, _)) in zip(cells, plans):
+    for (ti, pi), (t_slots, n_periods) in zip(cells, shapes):
+        batch = max(1, _BLOCK_SLOTS // (max(cfg.n_active, 1) * n_periods * t_slots))
         patterns = generate_pattern(cfg.roster(), cfg.p[pi], t_slots)
         active = patterns[: cfg.n_active]
         counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
@@ -502,8 +495,9 @@ def _grid_records(
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = [(ti, pi) for ti in range(len(cfg.period_ms)) for pi in range(len(cfg.p))]
-    # No more workers than cells: the pool forks all of them up front.
-    workers = min(threads, len(cells))
+    # No more workers than cells or usable CPUs: the pool forks all of them up front.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(cells), cpus or 1)
     size = max(1, len(cells) // (workers * 4)) if workers > 1 else len(cells)
     chunks = [cells[first : first + size] for first in range(0, len(cells), size)]
     count_chunk = partial(_chunk_counts, cfg, filter_lens)

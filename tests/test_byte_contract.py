@@ -5,10 +5,10 @@ the scoring could move: another master seed, a run of many fading tiles, a
 roster past the coverage tile's 16 ids, the ideal channel, no and all nodes
 active, p at 0 and 1, slots that do not divide the default periods, a
 static and a fast channel, a saturated one, and a period of over half a
-tile (over a whole one when recorded). The hashes were recorded before
-the tiling moved into ``montecarlo.tile_plan``, the last row's before the
-tiles shared a realisation workspace; a change that keeps the contract
-leaves them as they are. On x86-64 every row also holds at numpy's baseline SIMD target.
+tile (over a whole one when recorded). The hashes were recorded under
+earlier tile rules, the last row's before the tiles shared a realisation
+workspace; a change that keeps the contract leaves them as they are. On
+x86-64 every row also holds at numpy's baseline SIMD target.
 """
 
 import hashlib

@@ -36,7 +36,6 @@ from beepid.montecarlo import (
     score_traces,
     simulate_run_traces,
     sweep,
-    tile_plan,
 )
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
@@ -95,16 +94,36 @@ def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
             tasks.append(list(iterable))
             return map(fn, tasks[-1])
 
+    def usable_cpus(count, affinity=True):
+        # The pool sizes must not depend on the host's CPUs.
+        if affinity:
+            cpus = set(range(count))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     one_cell = _point_cfg(runs=1)
     four_cells = _point_cfg(runs=1, period_ms=(50, 100), p=(0.2, 0.4), filter_len=2)
+    usable_cpus(8)
     assert sweep(one_cell, threads=10**6) == sweep(one_cell)
     assert sizes == []
     assert sweep(four_cells, threads=10**6) == sweep(four_cells)
     assert compare_filtering(four_cells, threads=3) == compare_filtering(four_cells)
     assert sizes == [4, 3]
+    # Fewer usable CPUs than threads and cells: the CPUs bound the pool, by the
+    # process's affinity mask or, where the platform has none, by os.cpu_count.
+    usable_cpus(2)
+    assert sweep(four_cells, threads=10**6) == sweep(four_cells)
+    usable_cpus(3, affinity=False)
+    assert compare_filtering(four_cells, threads=8) == compare_filtering(four_cells)
+    for count in (1, None):
+        usable_cpus(count, affinity=False)
+        assert sweep(four_cells, threads=8) == sweep(four_cells)
+    assert sizes == [4, 3, 2, 3]
     # A task is a chunk of (period index, p index) cells, here one cell each.
-    assert tasks == [[[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]] * 2
+    assert tasks == [[[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]] * 4
     for threads in (0, -5):
         with pytest.raises(ConfigError, match="threads"):
             sweep(one_cell, threads=threads)
@@ -276,7 +295,7 @@ def _multi_block_run():
     cfg = _point_cfg(sim_length_s=3600.0)
     n_periods = cfg.periods_per_run(100)
     patterns = generate_pattern(cfg.roster()[: cfg.n_active], 0.3, cfg.slots_per_period(100))
-    _, rows, periods = tile_plan(cfg.n_active, n_periods, patterns.shape[1])
+    rows, periods = montecarlo._fading_tile(1, cfg.n_active, n_periods, patterns.shape[1])
     assert rows == 1 and n_periods > 3 * periods and n_periods % periods
     return cfg, patterns, n_periods, n_periods * patterns.shape[1]
 
@@ -369,10 +388,10 @@ def test_long_run_thresholds_only_the_beep_columns(monkeypatch):
 
 
 def test_a_serial_grid_realises_every_tile_in_one_workspace(monkeypatch):
-    # A serial grid is one chunk of cells with one workspace, sized for its
-    # largest tile: 100 ms cells come first with tiles of 32 periods of 1000
-    # slots (and a last one of 8), and 2000 ms cells follow with one period
-    # of 20000. The blocks
+    # A serial grid is one chunk of cells with one workspace: 100 ms cells
+    # come first with tiles of 32 periods of 1000 slots (and a last one of 8),
+    # 2000 ms cells follow with one period of 20000, and 4000 ms cells with
+    # one period of 40000, a tile past _BLOCK_SLOTS. The blocks
     # are held, so no fresh buffer could take the memory of an earlier one.
     blocks = []
     realise = montecarlo.rayleigh_sequence
@@ -383,10 +402,15 @@ def test_a_serial_grid_realises_every_tile_in_one_workspace(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "rayleigh_sequence", logged)
     cfg = _default_cfg(
-        runs=2, slot_s=0.0001, period_ms=[100, 2000], sim_length_s=4.0, p=[0.1, 0.5], filter_len=6
+        runs=2,
+        slot_s=0.0001,
+        period_ms=[100, 2000, 4000],
+        sim_length_s=4.0,
+        p=[0.1, 0.5],
+        filter_len=6,
     )
     compare_filtering(cfg)
-    assert {block.size for block in blocks} == {32000, 8000, 20000}
+    assert {block.size for block in blocks} == {32000, 8000, 20000, 40000}
     assert all(np.shares_memory(block, blocks[0]) for block in blocks)
 
 
@@ -421,24 +445,6 @@ def test_a_grid_call_does_not_fault_in_fresh_tiles():
     )
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 1000
-
-
-def _cell_plans(cfg: SimConfig) -> list:
-    cells = [(cfg.periods_per_run(t), cfg.slots_per_period(t)) for t in cfg.period_ms]
-    return [tile_plan(cfg.n_active, *cell) for cell in cells]
-
-
-def test_tile_plan_is_pinned_on_the_benchmark_cells():
-    # filter-compare-m6: a cell's 10 runs of 5 x 500 node-slots (495 at
-    # 150 ms periods) go in one batch of up to 13 runs, one fading tile of
-    # all 5 rows and every period.
-    cfg = _default_cfg(runs=10, filter_len=6)
-    assert _cell_plans(cfg) == [(13, 5, cfg.periods_per_run(t)) for t in cfg.period_ms]
-    # long-run: 3600 periods of 100 slots, each run a batch of its own. 327
-    # periods fill a tile, so a node row goes in 11 spans of 327 periods and
-    # one of 3.
-    cfg = _default_cfg(period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0)
-    assert _cell_plans(cfg) == [(1, 1, 327)]
 
 
 @st.composite
