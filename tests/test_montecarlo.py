@@ -75,7 +75,13 @@ def test_saturated_channel_identifies_everyone():
     assert record.tn + record.fp == 0
 
 
-def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
+def _recording_pool(monkeypatch, cpus):
+    """Pool sizes asked for and tasks mapped in this process, at ``cpus`` usable CPUs.
+
+    The returned ``usable_cpus(count, affinity=True)`` sets the CPU count, by
+    the process's affinity mask or, with ``affinity=False``, by
+    ``os.cpu_count`` alone, so no pool size depends on the host's CPUs.
+    """
     sizes, tasks = [], []
 
     class RecordingPool:
@@ -95,38 +101,51 @@ def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
             return map(fn, tasks[-1])
 
     def usable_cpus(count, affinity=True):
-        # The pool sizes must not depend on the host's CPUs.
         if affinity:
-            cpus = set(range(count))
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            mask = set(range(count))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
         else:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    usable_cpus(cpus)
+    return sizes, tasks, usable_cpus
+
+
+_FOUR_CELLS = dict(runs=1, period_ms=(50, 100), p=(0.2, 0.4), filter_len=2)
+
+
+def test_thread_count_is_checked_and_capped_at_the_task_count(monkeypatch):
+    sizes, tasks, _ = _recording_pool(monkeypatch, cpus=8)
     one_cell = _point_cfg(runs=1)
-    four_cells = _point_cfg(runs=1, period_ms=(50, 100), p=(0.2, 0.4), filter_len=2)
-    usable_cpus(8)
+    four_cells = _point_cfg(**_FOUR_CELLS)
     assert sweep(one_cell, threads=10**6) == sweep(one_cell)
     assert sizes == []
     assert sweep(four_cells, threads=10**6) == sweep(four_cells)
     assert compare_filtering(four_cells, threads=3) == compare_filtering(four_cells)
     assert sizes == [4, 3]
+    # A task is a chunk of (period index, p index) cells, here one cell each.
+    assert tasks == [[[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]] * 2
+    for threads in (0, -5):
+        with pytest.raises(ConfigError, match="threads"):
+            sweep(one_cell, threads=threads)
+
+
+def test_pool_workers_are_capped_at_usable_cpus(monkeypatch):
     # Fewer usable CPUs than threads and cells: the CPUs bound the pool, by the
     # process's affinity mask or, where the platform has none, by os.cpu_count.
-    usable_cpus(2)
+    # One CPU, or an unknown count, runs the grid serially.
+    sizes, tasks, usable_cpus = _recording_pool(monkeypatch, cpus=2)
+    four_cells = _point_cfg(**_FOUR_CELLS)
     assert sweep(four_cells, threads=10**6) == sweep(four_cells)
     usable_cpus(3, affinity=False)
     assert compare_filtering(four_cells, threads=8) == compare_filtering(four_cells)
     for count in (1, None):
         usable_cpus(count, affinity=False)
         assert sweep(four_cells, threads=8) == sweep(four_cells)
-    assert sizes == [4, 3, 2, 3]
-    # A task is a chunk of (period index, p index) cells, here one cell each.
-    assert tasks == [[[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]] * 4
-    for threads in (0, -5):
-        with pytest.raises(ConfigError, match="threads"):
-            sweep(one_cell, threads=threads)
+    assert sizes == [2, 3]
+    assert tasks == [[[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]] * 2
 
 
 def test_each_batch_derives_its_own_run_seeds(monkeypatch):
