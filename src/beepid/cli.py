@@ -262,7 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=None, help="CSV output path (default stdout)")
     common.add_argument(
-        "--threads", type=int, default=1, help="worker processes, at most one a grid cell and CPU"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes, at most one a grid cell and CPU; while each has a CPU to"
+        " spare (at most half the usable CPUs busy with workers), each draws a long run's"
+        " next fading tile on a second thread",
     )
     common.add_argument(
         "--dump-config", default=None, help="write the effective config JSON here"

@@ -23,10 +23,11 @@ import math
 import numbers
 import operator
 import os
-from contextlib import suppress
+import threading
+from contextlib import closing, suppress
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random import default_rng
@@ -314,7 +315,7 @@ def _fading_tile(n_runs: int, n_active: int, n_periods: int, t_slots: int) -> tu
 
 def simulate_run_traces(
     cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seeds: Sequence[int],
-    workspace: tuple[np.ndarray, ...] | None = None,
+    workspace: tuple[np.ndarray, np.ndarray] | None = None, *, draw_ahead: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Realise the channel of a batch of runs, which every interference rate shares.
 
@@ -327,8 +328,12 @@ def simulate_run_traces(
     realisation's arrays are freed, and no draw order moves a byte: a long
     run peaks at about 9.2 bytes per active node-slot at 5 active nodes, not
     the 10.4 of an 8-byte draw per slot held beside the real parts.
+    ``workspace``, fresh by default, is the fading tiles' memory: a complex
+    array of shape (2, n) and a float array of shape (n,), n at least a
+    tile's node-slots (``_fading_tile``), whatever values they hold.
+    ``draw_ahead`` draws each next tile on a thread (``_realise_heard``).
     """
-    heard = _realise_heard(cfg, active_patterns, n_periods, run_seeds, workspace)
+    heard = _realise_heard(cfg, active_patterns, n_periods, run_seeds, workspace, draw_ahead)
     draws = np.empty(heard.shape)
     for run_seed, run_draws in zip(run_seeds, draws):
         default_rng(derive_seed(run_seed, _STREAM_INTERFERENCE)).random(out=run_draws)
@@ -337,7 +342,7 @@ def simulate_run_traces(
 
 def _realise_heard(
     cfg: SimConfig, active_patterns: np.ndarray, n_periods: int, run_seeds: Sequence[int],
-    workspace: tuple[np.ndarray, ...] | None,
+    workspace: tuple[np.ndarray, np.ndarray] | None, draw_ahead: bool,
 ) -> np.ndarray:
     """The ``heard`` slots of ``simulate_run_traces``, shape (runs, n_periods, t_slots).
 
@@ -347,13 +352,20 @@ def _realise_heard(
     any imaginary part, both node-major. So the real parts of every given
     run are drawn and held whole (8 bytes per node-slot), and the imaginary
     parts are drawn in stream order, one fading tile of the given runs at a
-    time, each filtered at once, its AR(1) gains continuing from the previous
-    tile of the same nodes. A slot where no node of the tile's rows beeps is
-    heard by none of them, so only the gains of the rows' beep columns are
-    gathered, thresholded and ANDed with the rows' patterns. No run-length
-    complex array exists, and the real parts die on return. A tile's noise,
-    then its gathered gains, and their envelope reuse ``workspace``, flat
-    complex and float arrays of at least a tile's node-slots, fresh by default.
+    time (``_fading_noise``), each filtered once drawn, its AR(1) gains
+    continuing from the previous tile of the same nodes. A slot where no
+    node of the tile's rows beeps is heard by none of them, so only the
+    gains of the rows' beep columns are gathered, thresholded and ANDed with
+    the rows' patterns. No run-length complex array exists, and the real
+    parts die on return.
+
+    With ``draw_ahead`` and two or more tiles, a thread draws tile k + 1
+    while this one filters tile k (``_drawn_ahead``; both kernels release
+    the GIL), the tiles' noise taking the two rows of ``workspace``'s
+    complex array by turns; else each tile is drawn here, into the first
+    row. Only this thread calls the traced functions, and no byte moves
+    either way. A tile's gathered gains then reuse its noise row, and their
+    envelope the float array.
     """
     n_active, t_slots = active_patterns.shape
     n_runs, n_slots = len(run_seeds), n_periods * t_slots
@@ -376,35 +388,100 @@ def _realise_heard(
 
     rows, periods = _fading_tile(n_runs, n_active, n_periods, t_slots)
     size = n_runs * rows * periods * t_slots
-    noise_buffer, envelope = workspace or (np.empty(size, dtype=np.complex128), np.empty(size))
+    tiles = [
+        (slice(row, row + rows), slice(period, period + periods))
+        for row in range(0, n_active, rows)
+        for period in range(0, n_periods, periods)
+    ]
+    buffers, envelope = workspace or (np.empty((2, size), dtype=np.complex128), np.empty(size))
+    ahead = draw_ahead and len(tiles) > 1
+    noises = _fading_noise(rngs, real, [buffers[turn] for turn in range(1 + ahead)], tiles, t_slots)
     heard = np.zeros((n_runs, n_periods, t_slots), dtype=bool)
-    for row in range(0, n_active, rows):
-        nodes = slice(row, row + rows)
-        cols = np.flatnonzero(active_patterns[nodes].any(axis=0))
-        beeps = active_patterns[nodes][:, None, cols]
-        g = gain[:, nodes].reshape(-1)
-        for period in range(0, n_periods, periods):
-            span = slice(period, period + periods)
-            parts = real[:, nodes, span.start * t_slots : span.stop * t_slots]
-            noise = noise_buffer[: parts.size].reshape(parts.shape)
-            np.multiply(parts, _INV_SQRT2, out=noise.real)
-            # Scaled, the tile's real parts are spent: their slots take its imaginary ones.
-            for rng, run_parts in zip(rngs, parts):
-                rng.standard_normal(out=run_parts)
-            np.multiply(parts, _INV_SQRT2, out=noise.imag)
+    with closing(_drawn_ahead(noises) if ahead else noises) as noises:
+        for (nodes, span), noise in zip(tiles, noises):
+            if span.start == 0:  # a row group's first tile
+                cols = np.flatnonzero(active_patterns[nodes].any(axis=0))
+                beeps = active_patterns[nodes][:, None, cols]
+                g = gain[:, nodes].reshape(-1)
             gains = rayleigh_sequence(g, rho, noise.reshape(len(g), -1))
             g = gains[:, -1]
             # Filtered, the noise is spent: its slots take the beep columns' gains.
             # mode="clip" writes into out directly; "raise" would buffer it.
-            block = gains.reshape(parts.shape[:2] + (-1, t_slots))
+            block = gains.reshape(noise.shape[:2] + (-1, t_slots))
             shape = block.shape[:3] + cols.shape
-            picked = noise_buffer[: math.prod(shape)].reshape(shape)
+            picked = noise.reshape(-1)[: math.prod(shape)].reshape(shape)
             np.take(block, cols, axis=-1, out=picked, mode="clip")
             rx_dbm = envelope[: picked.size].reshape(picked.shape)
             flags = detect(picked, budget_dbm[:, nodes], cfg, rx_dbm)
             flags &= beeps
             heard[:, span, cols] |= flags.any(axis=1)
     return heard
+
+
+def _fading_noise(
+    rngs: list, real: np.ndarray, buffers: list, tiles: list, t_slots: int
+) -> Iterator[np.ndarray]:
+    """The complex fading noise of each ``(nodes, span)`` tile in turn, in ``buffers`` by turns.
+
+    A tile's real parts come from ``real``, (runs, n_active, n_slots). Scaled,
+    they are spent: their slots take the tile's imaginary parts, drawn from
+    each run's generator in stream order, and then scaled in their turn.
+    """
+    for k, (nodes, span) in enumerate(tiles):
+        parts = real[:, nodes, span.start * t_slots : span.stop * t_slots]
+        noise = buffers[k % len(buffers)][: parts.size].reshape(parts.shape)
+        np.multiply(parts, _INV_SQRT2, out=noise.real)
+        for rng, run_parts in zip(rngs, parts):
+            rng.standard_normal(out=run_parts)
+        np.multiply(parts, _INV_SQRT2, out=noise.imag)
+        yield noise
+
+
+def _drawn_ahead(items: Iterator) -> Iterator:
+    """``items``, each next one made on a thread while the caller holds the current one.
+
+    The thread makes item k + 1 while the caller holds item k, and item
+    k + 2 only once the caller asks for item k + 1, so an item may reuse the
+    memory of the one two before it. An error raised making an item reaches
+    the caller in its place, and the thread has ended once this generator
+    has, however it ends.
+    """
+    # concurrent.futures would do this too, at a 6-9 ms import that a serial
+    # run would pay; threading is already loaded.
+    made, wanted = threading.Semaphore(0), threading.Semaphore(0)
+    handoff = []
+    failure = None
+    stopped = False
+
+    def make():
+        nonlocal failure
+        try:
+            for item in items:
+                handoff.append(item)
+                made.release()
+                wanted.acquire()
+                if stopped:
+                    return
+        except BaseException as error:  # raised again on the caller's thread
+            failure = error
+        made.release()  # with nothing handed off: the items ended or failed
+
+    thread = threading.Thread(target=make)
+    thread.start()
+    try:
+        while True:
+            made.acquire()
+            if not handoff:
+                if failure is not None:
+                    raise failure
+                return
+            item = handoff.pop()
+            wanted.release()
+            yield item
+    finally:
+        stopped = True
+        wanted.release()
+        thread.join()
 
 
 def score_traces(
@@ -444,7 +521,8 @@ def run_seed_for(cfg: SimConfig, t_index: int, p_index: int, run_index: int) -> 
 
 
 def _chunk_counts(
-    cfg: SimConfig, filter_lens: Sequence[int], cells: Sequence[tuple[int, int]]
+    cfg: SimConfig, filter_lens: Sequence[int], cells: Sequence[tuple[int, int]],
+    *, draw_ahead: bool = False,
 ) -> list[np.ndarray]:
     """Counts of each (period index, p index) grid cell of a chunk, summed over its runs.
 
@@ -456,13 +534,16 @@ def _chunk_counts(
     faults (15-40 ms) per 180-cell ``compare_filtering`` call, so the chunk
     realises every tile in one workspace. By ``_fading_tile`` a tile holds at
     most ``_BLOCK_SLOTS`` node-slots, or one period of a one-run batch, so
-    the workspace holds the larger. Returns int64 (tp, fn, tn, fp) counts of
-    shape (interference rates, filter lengths, 4) per cell.
+    the workspace holds the larger, in each of its two noise rows: one tile
+    is drawn while another filters with ``draw_ahead`` (``_realise_heard``),
+    and without it the second row is never touched, so never faulted in.
+    Returns int64 (tp, fn, tn, fp) counts of shape (interference rates,
+    filter lengths, 4) per cell.
     """
     periods_ms = [cfg.period_ms[ti] for ti, _ in cells]
     shapes = [(cfg.slots_per_period(t), cfg.periods_per_run(t)) for t in periods_ms]
     size = max(_BLOCK_SLOTS, *(t_slots for t_slots, _ in shapes))
-    workspace = np.empty(size, dtype=np.complex128), np.empty(size)
+    workspace = np.empty((2, size), dtype=np.complex128), np.empty(size)
     rates = np.array(cfg.interference_rate)[:, None, None, None]
     chunk_counts = []
     for (ti, pi), (t_slots, n_periods) in zip(cells, shapes):
@@ -472,7 +553,9 @@ def _chunk_counts(
         counts = np.zeros((len(cfg.interference_rate), len(filter_lens), 4), dtype=np.int64)
         for first in range(0, cfg.runs, batch):
             seeds = [run_seed_for(cfg, ti, pi, r) for r in range(first, cfg.runs)[:batch]]
-            heard, draws = simulate_run_traces(cfg, active, n_periods, seeds, workspace)
+            heard, draws = simulate_run_traces(
+                cfg, active, n_periods, seeds, workspace, draw_ahead=draw_ahead
+            )
             traces = heard | (draws < rates)
             counts += score_traces(patterns, traces, cfg.n_active, filter_lens).sum(axis=1)
             # Freed before the next batch realises its channel: holding them across
@@ -490,17 +573,20 @@ def _grid_records(
     Point results are independent of scheduling: seeds derive from grid
     coordinates, and cells come back in grid order, so any thread count
     produces identical output. The pool module is imported only when
-    workers start, so a serial run never loads it.
+    workers start, so a serial run never loads it. Where every worker has
+    a usable CPU to spare, each draws its runs' next fading tile on a
+    thread; a draw thread sharing a CPU costs more than it saves.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = [(ti, pi) for ti in range(len(cfg.period_ms)) for pi in range(len(cfg.p))]
     # No more workers than cells or usable CPUs: the pool forks all of them up front.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(cells), cpus or 1)
+    cpus = cpus or 1
+    workers = min(threads, len(cells), cpus)
     size = max(1, len(cells) // (workers * 4)) if workers > 1 else len(cells)
     chunks = [cells[first : first + size] for first in range(0, len(cells), size)]
-    count_chunk = partial(_chunk_counts, cfg, filter_lens)
+    count_chunk = partial(_chunk_counts, cfg, filter_lens, draw_ahead=2 * workers <= cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

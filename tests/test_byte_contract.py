@@ -5,7 +5,9 @@ the scoring could move: another master seed, a run of many fading tiles, a
 roster past the coverage tile's 16 ids, the ideal channel, no and all nodes
 active, p at 0 and 1, slots that do not divide the default periods, a
 static and a fast channel, a saturated one, and a period of over half a
-tile (over a whole one when recorded). The hashes were recorded under
+tile (over a whole one when recorded). Each row holds at one and two
+threads, and at one thread with a single usable CPU, where no fading tile
+is drawn ahead on a spare one. The hashes were recorded under
 earlier tile rules, the last row's before the tiles shared a realisation
 workspace; a change that keeps the contract leaves them as they are. On
 x86-64 every row also holds at numpy's baseline SIMD target.
@@ -102,13 +104,18 @@ def _args(command, overrides) -> list[str]:
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("overrides", list(MATRIX_SHA256), ids=lambda o: " ".join(o) or "default")
-def test_edge_config_csv_bytes_are_pinned(tmp_path, overrides, command):
+def test_edge_config_csv_bytes_are_pinned(tmp_path, monkeypatch, overrides, command):
+    # A lone worker draws fading tiles ahead where a CPU is spare; at one
+    # usable CPU it draws them inline.
     expected = MATRIX_SHA256[overrides][command == "compare-filter"]
-    for threads in ("1", "2"):
-        out_path = tmp_path / f"{threads}.csv"
+    for threads, cpus in (("1", "all"), ("2", "all"), ("1", "1")):
+        if cpus == "1":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        out_path = tmp_path / f"{threads}-{cpus}.csv"
         args = [*_args(command, overrides), "--threads", threads, "--out", str(out_path)]
         assert main(args) == EXIT_OK
-        assert _sha256(out_path.read_bytes()) == expected, f"--threads {threads}"
+        assert _sha256(out_path.read_bytes()) == expected, f"--threads {threads}, {cpus} CPUs"
 
 
 # numpy picks each ufunc's SIMD kernel when it starts, and the kernels for

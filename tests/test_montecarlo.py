@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -148,6 +149,28 @@ def test_pool_workers_are_capped_at_usable_cpus(monkeypatch):
     assert tasks == [[[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]] * 2
 
 
+def test_draw_ahead_only_while_every_worker_has_a_spare_cpu(monkeypatch):
+    # A worker draws fading tiles ahead only while the workers take at most
+    # half the usable CPUs; else a draw thread would share a worker's CPU.
+    _, _, usable_cpus = _recording_pool(monkeypatch, cpus=2)
+    flags = []
+    realise = montecarlo.simulate_run_traces
+
+    def logged(*args, draw_ahead):
+        flags.append(draw_ahead)
+        return realise(*args, draw_ahead=draw_ahead)
+
+    monkeypatch.setattr(montecarlo, "simulate_run_traces", logged)
+    four_cells = _point_cfg(**_FOUR_CELLS)
+    expected = []
+    cases = ((2, 1, True), (1, 2, False), (2, 2, False), (4, 2, True), (4, 3, False))
+    for cpus, threads, ahead in cases:  # usable CPUs, --threads, drawn ahead
+        usable_cpus(cpus)
+        sweep(four_cells, threads=threads)
+        expected += [ahead] * 4
+    assert flags == expected
+
+
 def test_each_batch_derives_its_own_run_seeds(monkeypatch):
     # Runs of 5 nodes x 500 slots: 13 to a batch, so 27 runs make batches of
     # 13, 13 and 1, and no batch's seeds are derived before the previous batch
@@ -159,9 +182,9 @@ def test_each_batch_derives_its_own_run_seeds(monkeypatch):
         calls.append("seed")
         return seed_for(*args)
 
-    def logged_realise(cfg, active, n_periods, run_seeds, *args):
+    def logged_realise(cfg, active, n_periods, run_seeds, *args, **kwargs):
         calls.append(len(run_seeds))
-        return realise(cfg, active, n_periods, run_seeds, *args)
+        return realise(cfg, active, n_periods, run_seeds, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "run_seed_for", logged_seed)
     monkeypatch.setattr(montecarlo, "simulate_run_traces", logged_realise)
@@ -410,16 +433,23 @@ def test_a_serial_grid_realises_every_tile_in_one_workspace(monkeypatch):
     # A serial grid is one chunk of cells with one workspace: 100 ms cells
     # come first with tiles of 32 periods of 1000 slots (and a last one of 8),
     # 2000 ms cells follow with one period of 20000, and 4000 ms cells with
-    # one period of 40000, a tile past _BLOCK_SLOTS. The blocks
+    # one period of 40000, a tile past _BLOCK_SLOTS. With a CPU to spare, a
+    # run's tiles take the workspace's two noise rows by turns. The blocks
     # are held, so no fresh buffer could take the memory of an earlier one.
-    blocks = []
-    realise = montecarlo.rayleigh_sequence
+    _recording_pool(monkeypatch, cpus=2)
+    blocks, workspaces = [], []
+    realise, simulate = montecarlo.rayleigh_sequence, montecarlo.simulate_run_traces
 
     def logged(g0, rho, noise):
         blocks.append(noise)
         return realise(g0, rho, noise)
 
+    def logged_workspace(*args, **kwargs):
+        workspaces.append(args[4])
+        return simulate(*args, **kwargs)
+
     monkeypatch.setattr(montecarlo, "rayleigh_sequence", logged)
+    monkeypatch.setattr(montecarlo, "simulate_run_traces", logged_workspace)
     cfg = _default_cfg(
         runs=2,
         slot_s=0.0001,
@@ -430,7 +460,12 @@ def test_a_serial_grid_realises_every_tile_in_one_workspace(monkeypatch):
     )
     compare_filtering(cfg)
     assert {block.size for block in blocks} == {32000, 8000, 20000, 40000}
-    assert all(np.shares_memory(block, blocks[0]) for block in blocks)
+    assert all(workspace is workspaces[0] for workspace in workspaces)
+    buffers = workspaces[0][0]
+    assert len(buffers) == 2 and not np.shares_memory(*buffers)
+    used = [[np.shares_memory(block, buffer) for buffer in buffers] for block in blocks]
+    assert all(any(shared) for shared in used)
+    assert all(any(shared[turn] for shared in used) for turn in (0, 1))
 
 
 # Prints the minor page faults of the second compare_filtering call of the
@@ -529,13 +564,171 @@ def test_tiled_realisation_matches_single_block_oracle(case):
     with mock.patch.object(montecarlo, "_BLOCK_SLOTS", size):
         heard, draws = simulate_run_traces(cfg, patterns, n_periods, seeds)
         # A larger workspace left holding stale values gives the same traces.
-        stale = np.full(size + 3, complex(np.nan, np.inf)), np.full(size + 3, -np.inf)
+        stale = np.full((2, size + 3), complex(np.nan, np.inf)), np.full(size + 3, -np.inf)
         again = simulate_run_traces(cfg, patterns, n_periods, seeds, stale)
     assert heard.shape == draws.shape == (len(seeds), n_periods, patterns.shape[1])
     for run, run_seed in enumerate(seeds):
         ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
         assert np.array_equal(heard[run], ref_heard) and np.array_equal(draws[run], ref_draws)
     assert np.array_equal(again[0], heard) and np.array_equal(again[1], draws)
+
+
+@st.composite
+def _multi_tile_runs(draw):
+    """Batches of 1-3 runs in two or more fading tiles, at rho 0, 1 or between."""
+    # 0 km/h gives rho 1; at 30 km/h J0 is negative and rho clamps to 0.
+    velocity = draw(st.one_of(st.sampled_from([0.0, 30.0]), st.floats(0.1, 17.0)))
+    if draw(st.booleans()):  # groups of whole rows
+        n_active = draw(st.integers(2, 6))
+        n_periods = draw(st.integers(1, 8))
+        rows, periods = draw(st.integers(1, n_active - 1)), n_periods
+    else:  # spans of one row
+        n_active = draw(st.integers(1, 4))
+        n_periods = draw(st.integers(2, 8))
+        rows, periods = 1, draw(st.integers(1, n_periods - 1))
+    cfg = SimConfig(n_nodes=n_active, n_active=n_active, velocity_kmph=velocity)
+    patterns = draw(arrays(np.bool_, (n_active, draw(st.integers(1, 12)))))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3))
+    return (rows, periods), cfg, patterns, n_periods, seeds
+
+
+@settings(max_examples=100, deadline=None)
+@given(_multi_tile_runs())
+def test_tiles_drawn_ahead_match_tiles_drawn_inline_and_the_oracle(case):
+    (rows, periods), cfg, patterns, n_periods, seeds = case
+    t_slots = patterns.shape[1]
+    size = len(seeds) * rows * periods * t_slots
+    with (
+        mock.patch.object(montecarlo, "_BLOCK_SLOTS", size),
+        mock.patch.object(montecarlo, "_drawn_ahead", wraps=montecarlo._drawn_ahead) as ahead,
+    ):
+        assert montecarlo._fading_tile(len(seeds), cfg.n_active, n_periods, t_slots) == (rows, periods)
+        inline = simulate_run_traces(cfg, patterns, n_periods, seeds)
+        assert ahead.call_count == 0
+        drawn_ahead = simulate_run_traces(cfg, patterns, n_periods, seeds, draw_ahead=True)
+        assert ahead.call_count == 1
+    for heard, draws in (inline, drawn_ahead):
+        for run, run_seed in enumerate(seeds):
+            ref_heard, ref_draws = ref_realise_run(cfg, patterns, n_periods, run_seed)
+            assert np.array_equal(heard[run], ref_heard) and np.array_equal(draws[run], ref_draws)
+
+
+def test_an_item_drawn_ahead_is_not_touched_while_the_caller_holds_it():
+    # Each caller's items take two buffers by turns, as the fading tiles take
+    # the workspace's rows: a thread running two items ahead would rewrite the
+    # one its caller holds. Four callers and their four draw threads outnumber
+    # the cores, and a short switch interval lets them interleave at almost
+    # any step.
+    def consume(held):
+        buffers = [[None], [None]]
+
+        def items():
+            for k in range(1000):
+                buffers[k % 2][0] = k
+                yield buffers[k % 2]
+
+        for item in montecarlo._drawn_ahead(items()):
+            held.append([item[0] for _ in range(20)])  # the thread's chance to run on
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        helds = [[] for _ in range(4)]
+        callers = [threading.Thread(target=consume, args=(held,)) for held in helds]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert all(held == [[k] * 20 for k in range(1000)] for held in helds)
+
+
+class _DrawError(RuntimeError):
+    pass
+
+
+def _ten_tile_cfg() -> SimConfig:
+    # 360 periods of 100 slots and 5 active nodes: each node row in a span of
+    # 327 periods and one of 33, so the one-run batch has ten tiles.
+    return _default_cfg(
+        period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=360.0, runs=1
+    )
+
+
+def test_a_failed_draw_ahead_reaches_the_caller_and_ends_its_thread(monkeypatch):
+    # Each run's generator fails on its third draw off the calling thread: the
+    # third tile's imaginary parts, which only a draw-ahead thread draws.
+    _recording_pool(monkeypatch, cpus=2)
+    caller, make = threading.get_ident(), montecarlo.default_rng
+
+    class FailingGenerator:
+        def __init__(self, seed):
+            self._rng, self._drawn = make(seed), 0
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def standard_normal(self, *args, **kwargs):
+            if threading.get_ident() != caller:
+                self._drawn += 1
+                if self._drawn == 3:
+                    raise _DrawError("third tile")
+            return self._rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "default_rng", FailingGenerator)
+    start = threading.active_count()
+    with pytest.raises(_DrawError, match="third tile"):
+        sweep(_ten_tile_cfg())
+    assert threading.active_count() == start
+
+
+def test_a_failed_filter_step_ends_the_draw_ahead_thread(monkeypatch):
+    _recording_pool(monkeypatch, cpus=2)
+    calls, real = [], montecarlo.detect
+
+    def failing(*args):
+        calls.append(threading.active_count())
+        if len(calls) == 2:
+            raise _DrawError("second tile")
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "detect", failing)
+    start = threading.active_count()
+    with pytest.raises(_DrawError, match="second tile"):
+        sweep(_ten_tile_cfg())
+    assert threading.active_count() == start
+    assert calls == [start + 1] * 2
+
+
+def test_no_draw_ahead_thread_outlives_a_sweep(monkeypatch):
+    # The benchmark's long-run point at one run: 60 tiles, each but the last
+    # filtered while the thread is drawing or holds the next one.
+    _recording_pool(monkeypatch, cpus=2)
+    counts, real = [], montecarlo.detect
+
+    def counted(*args):
+        counts.append(threading.active_count())
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "detect", counted)
+    cfg = _default_cfg(
+        period_ms=[1000], p=[0.2], interference_rate=[0.05], sim_length_s=3600.0, runs=1
+    )
+    start = threading.active_count()
+    sweep(cfg)
+    assert threading.active_count() == start
+    assert len(counts) == 60 and set(counts[:-1]) == {start + 1}
+
+
+def test_a_one_tile_batch_starts_no_thread(monkeypatch):
+    # filter-compare-m6's 30 cells: each batch is one tile, drawn on the
+    # calling thread even with a CPU to spare.
+    _recording_pool(monkeypatch, cpus=2)
+    with mock.patch.object(montecarlo, "_drawn_ahead", wraps=montecarlo._drawn_ahead) as ahead:
+        compare_filtering(_default_cfg(runs=10, filter_len=6))
+    assert ahead.call_count == 0
 
 
 def _ref_patterns(ids, p: float, t_slots: int) -> np.ndarray:

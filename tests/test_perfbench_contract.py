@@ -7,6 +7,8 @@ silently zero a per-layer metric instead of failing.
 
 import importlib.util
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,50 @@ def test_point_counts_call_the_traced_layers_through_module_globals(monkeypatch,
     # calls on filtered workloads alone.
     windows = [m for m in filter_lens if m >= 2]
     assert [args[1] for args in calls["filter_apply"]] == windows * len(batches)
+
+
+# The montecarlo names the tracer times; its one span stack assumes that the
+# thread that opens a span closes it, and that one thread opens them all.
+THREAD_BOUND_NAMES = (
+    "rayleigh_sequence",
+    "standard_complex_normal",
+    "derive_seed",
+    "simulate_run_traces",
+    "score_traces",
+    "filter_apply",
+)
+
+
+def test_traced_names_run_on_the_calling_thread(monkeypatch):
+    # A lone worker with a CPU to spare draws its fading tiles on a thread, so
+    # each traced layer must still be called on the thread that called the grid.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threads = {name: set() for name in THREAD_BOUND_NAMES}
+    for name, seen in threads.items():
+
+        def recorded(*args, _real=getattr(montecarlo, name), _seen=seen, **kwargs):
+            _seen.add(threading.get_ident())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, name, recorded)
+    drawing, noise = set(), montecarlo._fading_noise
+
+    def tiles_drawn(*args):
+        for tile in noise(*args):
+            drawing.add(threading.get_ident())
+            yield tile
+
+    monkeypatch.setattr(montecarlo, "_fading_noise", tiles_drawn)
+    # 360 s of 1000 ms periods: ten tiles a run, drawn ahead of the filter.
+    cfg = montecarlo.SimConfig(
+        runs=2, period_ms=(1000,), p=(0.2,), interference_rate=(0.05,), sim_length_s=360.0,
+        filter_len=6,
+    )
+    montecarlo.compare_filtering(cfg)
+    caller = threading.get_ident()
+    assert threads == {name: {caller} for name in THREAD_BOUND_NAMES}
+    assert drawing and caller not in drawing
 
 
 CLI_HOOKS = ("load_config", "sweep", "compare_filtering", "metrics_csv", "compare_csv")
